@@ -24,11 +24,15 @@
 //!   streams the whole candidate store once, so bytes-per-query ==
 //!   candidate-store bytes; f16 must halve it and i8 roughly quarter
 //!   it (codes + one f32 scale per row).
-//! * **i8 q/ms ≥ f32 q/ms** — the point of *this* PR's axis: with the
-//!   blocked + SIMD kernels, the 3.8× bandwidth cut must show up as
-//!   throughput, not just bytes.
+//! * **i8 q/ms ≥ f32 q/ms** — with the blocked + SIMD kernels, the
+//!   3.8× bandwidth cut must show up as throughput, not just bytes.
+//! * **Blocking pays on one thread** — on i8, 16-query blocks through
+//!   `query_batch` (each below the fan-out gate, so scanned inline)
+//!   must answer at least as many q/ms as one `query` call per row:
+//!   the block amortizes each tile over 16 queries, and if it does
+//!   not beat 16 single scans the batch path has no reason to exist.
 //!
-//! The per-format scalar / blocked / SIMD q/ms table is also written
+//! The per-format per-row / blocked / SIMD q/ms table is also written
 //! to `BENCH_quant.json` at the workspace root (see `bench::perf`).
 
 use bench::perf::{self, Value};
@@ -45,6 +49,9 @@ const DIM: usize = 64;
 const CLUSTERS: usize = 250;
 const QUERIES: usize = 1_024;
 const NOISE: f32 = 0.25;
+/// Queries per single-threaded batch: one scan block, far below the
+/// index's fan-out gate at [`INDEXED`] candidates.
+const BLOCK: usize = 16;
 
 fn timed(reps: usize, mut f: impl FnMut()) -> f64 {
     let t0 = std::time::Instant::now();
@@ -54,26 +61,34 @@ fn timed(reps: usize, mut f: impl FnMut()) -> f64 {
     t0.elapsed().as_secs_f64() / reps as f64
 }
 
-/// The pre-blocking reference path: one `query` call per row.
+/// The unbatched reference path: one `query` call per row.
 fn per_row_queries(idx: &ExactIndex, queries: &Matrix, k: usize) -> Vec<Vec<Neighbor>> {
     (0..queries.rows())
         .map(|q| idx.query(queries.row(q), k))
         .collect()
 }
 
-/// q/ms for the three scan strategies on one index.
+/// q/ms for the scan strategies on one index.
 struct ScanTimings {
-    /// Per-row `query` loop (scalar kernels, no tiling).
+    /// One `query` call per row: every scan is a block of one.
     scalar: f64,
-    /// Blocked batch scan on the scalar i8 kernel.
+    /// Whole-batch scan on the scalar i8 kernel.
     blocked: f64,
-    /// Blocked batch scan on the best `core::arch`/SWAR kernel.
+    /// Whole-batch scan on the best `core::arch`/SWAR kernel (fans
+    /// out over the available cores).
     simd: f64,
+    /// The same kernel fed one [`BLOCK`]-query batch at a time, each
+    /// scanned inline — the blocked scan on a single thread.
+    blocked_1t: f64,
 }
 
 fn time_scans(idx: &ExactIndex, queries: &Matrix) -> ScanTimings {
     let reps = 3;
     let q_per_ms = |t: f64| QUERIES as f64 / (t * 1000.0);
+    let blocks: Vec<Matrix> = (0..QUERIES)
+        .step_by(BLOCK)
+        .map(|start| queries.row_block(start, BLOCK.min(QUERIES - start)))
+        .collect();
     ScanTimings {
         scalar: q_per_ms(timed(reps, || {
             black_box(per_row_queries(idx, queries, 1));
@@ -83,6 +98,11 @@ fn time_scans(idx: &ExactIndex, queries: &Matrix) -> ScanTimings {
         })),
         simd: q_per_ms(timed(reps, || {
             black_box(idx.query_batch_with_kernel(I8Kernel::Arch, queries, 1));
+        })),
+        blocked_1t: q_per_ms(timed(reps, || {
+            for block in &blocks {
+                black_box(idx.query_batch(block, 1));
+            }
         })),
     }
 }
@@ -166,15 +186,15 @@ fn bench_quant_scale(c: &mut Criterion) {
     let t8 = time_scans(&i8_idx, &queries);
     println!(
         "quant_scale: {INDEXED}×{DIM}, {QUERIES} queries, arch kernel = {} —\n\
-         \x20 format  B/query      scalar     blocked        SIMD\n\
-         \x20 f32  {b32:>9}  {:>7.1} q/ms {:>7.1} q/ms {:>7.1} q/ms (reference)\n\
-         \x20 f16  {b16:>9}  {:>7.1} q/ms {:>7.1} q/ms {:>7.1} q/ms ({:.2}× fewer bytes), recall@1 {f16_recall:.4} (gate ≥ 0.999)\n\
-         \x20 i8   {b8:>9}  {:>7.1} q/ms {:>7.1} q/ms {:>7.1} q/ms ({:.2}× fewer bytes), Spearman {rho:.4} (gate ≥ 0.97)",
+         \x20 format  B/query     per-row     blocked        SIMD  blocked/1 thread\n\
+         \x20 f32  {b32:>9}  {:>7.1} q/ms {:>7.1} q/ms {:>7.1} q/ms {:>7.1} q/ms (reference)\n\
+         \x20 f16  {b16:>9}  {:>7.1} q/ms {:>7.1} q/ms {:>7.1} q/ms {:>7.1} q/ms ({:.2}× fewer bytes), recall@1 {f16_recall:.4} (gate ≥ 0.999)\n\
+         \x20 i8   {b8:>9}  {:>7.1} q/ms {:>7.1} q/ms {:>7.1} q/ms {:>7.1} q/ms ({:.2}× fewer bytes), Spearman {rho:.4} (gate ≥ 0.97)",
         arch_kernel_name(),
-        t32.scalar, t32.blocked, t32.simd,
-        t16.scalar, t16.blocked, t16.simd,
+        t32.scalar, t32.blocked, t32.simd, t32.blocked_1t,
+        t16.scalar, t16.blocked, t16.simd, t16.blocked_1t,
         b32 as f64 / b16 as f64,
-        t8.scalar, t8.blocked, t8.simd,
+        t8.scalar, t8.blocked, t8.simd, t8.blocked_1t,
         b32 as f64 / b8 as f64,
     );
 
@@ -192,6 +212,19 @@ fn bench_quant_scale(c: &mut Criterion) {
         t32.simd
     );
 
+    println!(
+        "quant_scale: i8 on one thread — {BLOCK}-query blocks {:.1} q/ms vs per-row `query` \
+         {:.1} q/ms (floor: blocked ≥ per-row)",
+        t8.blocked_1t, t8.scalar
+    );
+    assert!(
+        t8.blocked_1t >= t8.scalar,
+        "i8 blocked batch on one thread ({:.1} q/ms) must not be slower than per-row \
+         `query` calls ({:.1} q/ms)",
+        t8.blocked_1t,
+        t8.scalar
+    );
+
     // ── Machine-readable record for CI/roadmap diffing. ──
     let row = |name: &str, bytes: usize, t: &ScanTimings| {
         let mut r = Value::object();
@@ -199,7 +232,8 @@ fn bench_quant_scale(c: &mut Criterion) {
             .push("bytes_per_query", Value::Int(bytes as i64))
             .push("q_per_ms_scalar", Value::Float(t.scalar))
             .push("q_per_ms_blocked", Value::Float(t.blocked))
-            .push("q_per_ms_simd", Value::Float(t.simd));
+            .push("q_per_ms_simd", Value::Float(t.simd))
+            .push("q_per_ms_blocked_1t", Value::Float(t.blocked_1t));
         r
     };
     let mut gates = Value::object();
@@ -209,7 +243,11 @@ fn bench_quant_scale(c: &mut Criterion) {
         .push("i8_spearman", Value::Float(rho as f64))
         .push("i8_spearman_floor", Value::Float(0.97))
         .push("kernel_parity_exact", Value::Bool(true))
-        .push("i8_simd_q_per_ms_floor", Value::Str("f32_simd".into()));
+        .push("i8_simd_q_per_ms_floor", Value::Str("f32_simd".into()))
+        .push(
+            "i8_blocked_1t_q_per_ms_floor",
+            Value::Str("i8_scalar".into()),
+        );
     let mut record = Value::object();
     record
         .push("bench", Value::Str("quant_scale".into()))

@@ -4,21 +4,26 @@
 use crate::{Neighbor, VectorIndex};
 use linalg::kernels::I8Kernel;
 use linalg::ops::{norm, row_norms};
-use linalg::quant::{PreparedQuery, Quantization, QuantizedMatrix, SCAN_TILE_ROWS};
+use linalg::quant::{PreparedBlock, Quantization, QuantizedMatrix, TileScratch, SCAN_TILE_ROWS};
 use linalg::Matrix;
+use std::cmp::Ordering;
 
-/// Queries scored together against each candidate tile in the blocked
-/// batch scan: enough to amortize the per-tile f16 decode many times
-/// over while keeping the per-block score buffer
-/// (`QUERY_BLOCK × SCAN_TILE_ROWS` floats) comfortably in L1.
+/// Queries scored together against each candidate tile: enough to
+/// amortize a tile's f16 decode (and the i8 rows' sign-extension) many
+/// times over, while everything a tile touches per block — its
+/// `QUERY_BLOCK × SCAN_TILE_ROWS` scores (4 KiB), the i8 sums beside
+/// them (4 KiB) and the widened query block (1 KiB at 32 dims) — stays
+/// in L1. Nothing per query grows with the candidate count: the
+/// selection state is the k neighbours held so far.
 const QUERY_BLOCK: usize = 16;
 
 /// Exact top-k by full scan.
 ///
 /// Candidate norms are computed once at build time; each query pays
-/// one norm plus one dot product per candidate. Selection is a stable
-/// descending sort, so ties keep candidate row order — exactly the
-/// behaviour of the historical per-detector scans, which is what makes
+/// one norm plus one dot product per candidate. Neighbours come back
+/// in [`crate::neighbour_cmp`] order — similarity descending, ties in
+/// candidate row order — exactly what the historical per-detector
+/// scans' stable descending sort produced, which is what makes
 /// exact-backed detector scores bit-identical to the pre-index code.
 ///
 /// Candidates live in a [`QuantizedMatrix`]: the default f32 storage
@@ -27,19 +32,74 @@ const QUERY_BLOCK: usize = 16;
 /// Norms stay the **original f32** row norms in every format — the
 /// quantized kernels reuse the same cache.
 ///
-/// Batch queries run the **blocked scan**: candidates are walked in
-/// [`SCAN_TILE_ROWS`]-row tiles and each tile is scored for a whole
-/// [`QUERY_BLOCK`] of prepared queries before moving on, so a f16
-/// tile is decoded once per block (not once per query) and the i8
-/// tile stays hot across the block's integer-kernel dots
-/// (`linalg::kernels`). Scores and tie order are identical to the
-/// per-row `query` path — asserted exactly, since f32/f16 values are
-/// bit-identical and i8 accumulation is exact integers
-/// (`tests/blocked_scan.rs`).
+/// Every query — single ([`VectorIndex::query`]) or batched — runs the
+/// same **single-pass blocked scan** (`ExactIndex::scan_block`):
+/// candidates are walked once in [`SCAN_TILE_ROWS`]-row tiles, each
+/// tile is scored for a whole [`QUERY_BLOCK`] of prepared queries
+/// before moving on (a f16 tile is decoded once per block, an i8 tile
+/// is one call into the fused integer kernel of `linalg::kernels`),
+/// and each tile's similarities are streamed straight into a k-slot
+/// buffer per query ([`offer_tile`]). No similarity outlives its tile,
+/// so a scan's memory is O(k) per query whatever the index size.
+/// Scores and tie order do not depend on the block a query lands in
+/// or on the i8 kernel — f32/f16 values are bit-identical and i8
+/// accumulation is exact integers (`tests/blocked_scan.rs`).
 #[derive(Debug, Clone)]
 pub struct ExactIndex {
     data: QuantizedMatrix,
     norms: Vec<f32>,
+}
+
+/// Buffers one worker's scan reuses from query block to query block.
+#[derive(Default)]
+struct ScanScratch<'q> {
+    block: PreparedBlock<'q>,
+    query_norms: Vec<f32>,
+    tile: TileScratch,
+    /// One tile's scores, `dots[q * nrows + i]`.
+    dots: Vec<f32>,
+}
+
+/// Streams one tile's similarities — candidate ids `first_id..` in
+/// ascending order — into `held`, the best `k` neighbours seen so far
+/// in [`crate::neighbour_cmp`] order.
+///
+/// Ids only ever grow, so under (similarity desc, id asc) a new row
+/// ranks *after* every held row it ties with: once `held` is full, a
+/// row enters only on a **strictly** greater similarity than the held
+/// k-th. One branch-free pass over the tile decides whether any row
+/// does; after the first few tiles almost none do, and the insert is
+/// the rare branch. A NaN similarity is never greater than anything
+/// and nothing is greater than it: a NaN row takes a slot only while
+/// `held` is still filling, and then keeps it.
+fn offer_tile(held: &mut Vec<Neighbor>, k: usize, first_id: usize, sims: &[f32]) {
+    let filling = k.saturating_sub(held.len()).min(sims.len());
+    for (i, &similarity) in sims[..filling].iter().enumerate() {
+        insert(held, k, first_id + i, similarity);
+    }
+    let rest = &sims[filling..];
+    let Some(worst) = held.last().map(|n| n.similarity) else {
+        return;
+    };
+    if !rest.iter().fold(false, |any, &s| any | (s > worst)) {
+        return;
+    }
+    for (i, &similarity) in rest.iter().enumerate() {
+        if similarity > held[k - 1].similarity {
+            insert(held, k, first_id + filling + i, similarity);
+        }
+    }
+}
+
+/// Places a neighbour behind every held one it does not strictly beat,
+/// dropping the k-th if `held` is full.
+fn insert(held: &mut Vec<Neighbor>, k: usize, id: usize, similarity: f32) {
+    if held.len() == k {
+        held.pop();
+    }
+    let at =
+        held.partition_point(|n| similarity.partial_cmp(&n.similarity) != Some(Ordering::Greater));
+    held.insert(at, Neighbor { id, similarity });
 }
 
 impl ExactIndex {
@@ -99,10 +159,9 @@ impl ExactIndex {
     }
 
     /// [`VectorIndex::query_batch`] through an explicitly chosen i8
-    /// kernel — the blocked tile scan. Every kernel returns identical
-    /// neighbours (exact integer arithmetic); the knob exists for the
-    /// parity suites and the scalar/SIMD rows of
-    /// `benches/quant_scale.rs`.
+    /// kernel. Every kernel returns identical neighbours (exact
+    /// integer arithmetic); the knob exists for the parity suites and
+    /// the scalar/SIMD rows of `benches/quant_scale.rs`.
     pub fn query_batch_with_kernel(
         &self,
         kernel: I8Kernel,
@@ -112,14 +171,15 @@ impl ExactIndex {
         let n = queries.rows();
         let mut out: Vec<Vec<Neighbor>> = Vec::with_capacity(n);
         out.resize_with(n, Vec::new);
-        if n == 0 {
+        if n == 0 || k == 0 {
             return out;
         }
         let threads = std::thread::available_parallelism()
             .map(|t| t.get())
             .unwrap_or(1);
-        let chunk = n.div_ceil(threads).max(crate::MIN_ROWS_PER_WORKER);
-        if n < 2 * crate::MIN_ROWS_PER_WORKER || n <= chunk {
+        // Whole query blocks per worker: a fan-out never splits one.
+        let chunk = n.div_ceil(threads).next_multiple_of(QUERY_BLOCK);
+        if chunk >= n || !crate::fan_out_pays(n, self.len()) {
             self.scan_query_chunk(kernel, queries, 0, &mut out, k);
             return out;
         }
@@ -134,18 +194,9 @@ impl ExactIndex {
         out
     }
 
-    /// Scores query rows `[start, start + out.len())` against every
-    /// candidate with the blocked scan and writes each query's top-k
-    /// into its `out` slot.
-    ///
-    /// Loop structure: queries are taken [`QUERY_BLOCK`] at a time and
-    /// prepared once (width validated; i8 query codes quantized);
-    /// candidates stream through in [`SCAN_TILE_ROWS`] tiles with the
-    /// whole query block scored per tile, so each tile's bytes (and
-    /// the f16 decode) are paid once per block instead of once per
-    /// query. Scores and their ascending-row order are identical to
-    /// [`VectorIndex::query`]'s per-row loop, so the shared top-k
-    /// selection returns bit-identical neighbours.
+    /// Scans query rows `[start, start + out.len())`, one
+    /// [`QUERY_BLOCK`] at a time, writing each query's top-k into its
+    /// `out` slot. All scratch is allocated here, once per worker.
     fn scan_query_chunk(
         &self,
         kernel: I8Kernel,
@@ -154,73 +205,70 @@ impl ExactIndex {
         out: &mut [Vec<Neighbor>],
         k: usize,
     ) {
-        if k == 0 {
-            return;
-        }
-        let n_rows = self.data.rows();
-        let mut scratch = Vec::new();
-        let mut tile_dots = vec![0.0f32; QUERY_BLOCK * SCAN_TILE_ROWS];
-        for (b0, block) in out.chunks_mut(QUERY_BLOCK).enumerate() {
-            let q_base = start + b0 * QUERY_BLOCK;
-            let prepared: Vec<PreparedQuery> = (0..block.len())
-                .map(|i| self.data.prepare_query(queries.row(q_base + i)))
-                .collect();
-            let q_norms: Vec<f32> = prepared.iter().map(|pq| norm(pq.query())).collect();
-            let mut sims: Vec<Vec<Neighbor>> = (0..block.len())
-                .map(|_| Vec::with_capacity(n_rows))
-                .collect();
-            for row_start in (0..n_rows).step_by(SCAN_TILE_ROWS) {
-                let nrows = SCAN_TILE_ROWS.min(n_rows - row_start);
-                self.data.dot_tile(
-                    kernel,
-                    row_start,
-                    nrows,
-                    &prepared,
-                    &mut scratch,
-                    &mut tile_dots,
-                );
-                for (qi, q_sims) in sims.iter_mut().enumerate() {
-                    let qn = q_norms[qi];
-                    let dots = &tile_dots[qi * nrows..(qi + 1) * nrows];
-                    for (i, &d) in dots.iter().enumerate() {
-                        let r = row_start + i;
-                        let row_norm = self.norms[r];
-                        // Same expression as `cosine_row`: zero norms
-                        // score 0.0, otherwise dot / (row·query norm).
-                        let similarity = if row_norm == 0.0 || qn == 0.0 {
-                            0.0
-                        } else {
-                            d / (row_norm * qn)
-                        };
-                        q_sims.push(Neighbor { id: r, similarity });
-                    }
-                }
-            }
-            for (slot, q_sims) in block.iter_mut().zip(sims) {
-                *slot = top_k(q_sims, k);
-            }
+        let mut scratch = ScanScratch::default();
+        for (b, slots) in out.chunks_mut(QUERY_BLOCK).enumerate() {
+            let first = start + b * QUERY_BLOCK;
+            let rows = (first..first + slots.len()).map(|r| queries.row(r));
+            self.scan_block(kernel, rows, k, &mut scratch, slots);
         }
     }
-}
 
-/// Top-k selection under [`crate::neighbour_cmp`] — (similarity desc,
-/// id asc), the exact order the historical stable descending sort
-/// produced. Factored out of [`VectorIndex::query`] so the blocked
-/// batch scan selects through the *same* code path and tie handling.
-fn top_k(mut sims: Vec<Neighbor>, k: usize) -> Vec<Neighbor> {
-    let n = sims.len();
-    let k = k.min(n);
-    if k == 0 {
-        return Vec::new();
+    /// The single-pass scan of one block of queries (one per `out`
+    /// slot, at most [`QUERY_BLOCK`]): prepare the block once (widths
+    /// validated; i8 codes quantized and widened), then per candidate
+    /// tile score the whole block, finish the cosines in place and
+    /// stream them into each query's k-slot buffer — the `out` slot
+    /// itself. Similarities are the expression of
+    /// [`QuantizedMatrix::cosine_row`], rows arrive in ascending id,
+    /// and [`offer_tile`] keeps (similarity desc, id asc), so the
+    /// result is what a full stable descending sort would return.
+    fn scan_block<'q>(
+        &self,
+        kernel: I8Kernel,
+        queries: impl IntoIterator<Item = &'q [f32]>,
+        k: usize,
+        scratch: &mut ScanScratch<'q>,
+        out: &mut [Vec<Neighbor>],
+    ) {
+        let ScanScratch {
+            block,
+            query_norms,
+            tile,
+            dots,
+        } = scratch;
+        self.data.prepare_block(queries, block);
+        debug_assert_eq!(block.len(), out.len(), "one out slot per query");
+        query_norms.clear();
+        query_norms.extend(block.queries().iter().map(|q| norm(q)));
+        let n_rows = self.data.rows();
+        dots.resize(out.len() * SCAN_TILE_ROWS.min(n_rows), 0.0);
+        let k = k.min(n_rows);
+        for held in out.iter_mut() {
+            *held = Vec::with_capacity(k);
+        }
+        for row_start in (0..n_rows).step_by(SCAN_TILE_ROWS) {
+            let nrows = SCAN_TILE_ROWS.min(n_rows - row_start);
+            self.data
+                .dot_tile(kernel, row_start, nrows, block, tile, dots);
+            let row_norms = &self.norms[row_start..row_start + nrows];
+            for ((held, &query_norm), sims) in out
+                .iter_mut()
+                .zip(query_norms.iter())
+                .zip(dots.chunks_exact_mut(nrows))
+            {
+                // Same expression as `cosine_row`: zero norms score
+                // 0.0, otherwise dot / (row·query norm).
+                for (s, &row_norm) in sims.iter_mut().zip(row_norms) {
+                    *s = if row_norm == 0.0 || query_norm == 0.0 {
+                        0.0
+                    } else {
+                        *s / (row_norm * query_norm)
+                    };
+                }
+                offer_tile(held, k, row_start, sims);
+            }
+        }
     }
-    let by_sim_then_id = crate::neighbour_cmp;
-    if k < n {
-        sims.select_nth_unstable_by(k - 1, by_sim_then_id);
-        sims.truncate(k);
-    }
-    sims.sort_by(by_sim_then_id);
-    sims.truncate(k);
-    sims
 }
 
 impl VectorIndex for ExactIndex {
@@ -237,25 +285,17 @@ impl VectorIndex for ExactIndex {
         if k == 0 {
             return Vec::new();
         }
-        // Prepare once per query: width validated, i8 query codes
-        // quantized a single time for the whole scan.
-        let pq = self.data.prepare_query(query);
-        let nq = norm(query);
-        let n = self.data.rows();
-        let sims: Vec<Neighbor> = (0..n)
-            .map(|r| Neighbor {
-                id: r,
-                similarity: self.data.cosine_row_prepared(r, self.norms[r], &pq, nq),
-            })
-            .collect();
-        // `neighbour_cmp` — (similarity desc, id asc) — is a total
-        // order, and it is exactly the order the historical stable
-        // descending sort produced (stable ⇒ ties keep ascending row
-        // order). Selecting the top k under it (see `top_k`, shared
-        // with the blocked batch scan) therefore stays bit-identical
-        // to the historical full-scan detectors while the serving hot
-        // path drops from O(n log n) to O(n + k log k) per query.
-        top_k(sims, k)
+        // A block of one through the same scan as a batch.
+        let mut out = [Vec::new()];
+        self.scan_block(
+            I8Kernel::default(),
+            [query],
+            k,
+            &mut ScanScratch::default(),
+            &mut out,
+        );
+        let [top] = out;
+        top
     }
 
     fn query_batch(&self, queries: &Matrix, k: usize) -> Vec<Vec<Neighbor>> {
@@ -502,5 +542,79 @@ mod tests {
         let data = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
         let idx = ExactIndex::build(data);
         assert_eq!(idx.query(&[1.0, 0.0], 10).len(), 2);
+    }
+
+    #[test]
+    fn degenerate_queries_return_the_first_k_ids_in_every_format() {
+        // A query holding a NaN makes every similarity NaN; an
+        // all-zero query makes every similarity 0.0. Either way no
+        // row ever beats another, so the answer is ids 0..k — also
+        // when the rows span several scan tiles and k exceeds them.
+        let n = SCAN_TILE_ROWS * 2 + 5;
+        let mut rng = StdRng::seed_from_u64(31);
+        let data = randn(&mut rng, n, 8, 1.0);
+        let mut poisoned = randn(&mut rng, 1, 8, 1.0).row(0).to_vec();
+        poisoned[3] = f32::NAN;
+        let queries = Matrix::from_rows(&[&poisoned, &[0.0; 8]]);
+        for quant in [Quantization::F32, Quantization::F16, Quantization::I8] {
+            let idx = ExactIndex::build_quantized(data.clone(), row_norms(&data), quant);
+            for k in [1, 3, n, n + 5] {
+                let want: Vec<usize> = (0..k.min(n)).collect();
+                let batched = idx.query_batch(&queries, k);
+                for (q, batch_top) in batched.iter().enumerate() {
+                    let top = idx.query(queries.row(q), k);
+                    for got in [&top, batch_top] {
+                        let ids: Vec<usize> = got.iter().map(|n| n.id).collect();
+                        assert_eq!(ids, want, "{quant} query {q} k={k}");
+                    }
+                    if q == 0 {
+                        assert!(top.iter().all(|n| n.similarity.is_nan()), "{quant}");
+                    } else {
+                        assert!(top.iter().all(|n| n.similarity == 0.0), "{quant}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn k_zero_and_empty_indexes_answer_with_nothing() {
+        let queries = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
+        for quant in [Quantization::F32, Quantization::F16, Quantization::I8] {
+            let data = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[1.0, 1.0]]);
+            let idx = ExactIndex::build_quantized(data.clone(), row_norms(&data), quant);
+            assert!(idx.query(&[1.0, 0.0], 0).is_empty(), "{quant}");
+            assert_eq!(idx.query_batch(&queries, 0), vec![vec![]; 2], "{quant}");
+            assert_eq!(idx.query(&[1.0, 0.0], usize::MAX).len(), 3, "{quant}");
+
+            let empty = ExactIndex::build_quantized(Matrix::zeros(0, 2), Vec::new(), quant);
+            assert!(empty.query(&[1.0, 0.0], 3).is_empty(), "{quant}");
+            assert_eq!(empty.query_batch(&queries, 3), vec![vec![]; 2], "{quant}");
+            assert_eq!(
+                empty.query_batch(&Matrix::zeros(0, 2), 3),
+                Vec::<Vec<Neighbor>>::new(),
+                "{quant}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_nan_row_among_numbers_never_panics() {
+        // Mixed NaN is outside `neighbour_cmp`'s total order, so no
+        // ranking of it is "right"; what is pinned is that the scan
+        // answers with k rows, never panics, and keeps the rows that
+        // do have a similarity in order.
+        let data = Matrix::from_rows(&[&[f32::NAN, 1.0], &[1.0, 0.0], &[0.5, 0.5], &[0.0, 1.0]]);
+        let idx = ExactIndex::build(data);
+        for k in 1..=4 {
+            let top = idx.query(&[1.0, 0.0], k);
+            assert_eq!(top.len(), k);
+            let ranked: Vec<usize> = top
+                .iter()
+                .filter(|n| !n.similarity.is_nan())
+                .map(|n| n.id)
+                .collect();
+            assert!(ranked.windows(2).all(|w| w[0] < w[1]), "k={k}: {top:?}");
+        }
     }
 }

@@ -134,12 +134,21 @@ pub trait VectorIndex: Send + Sync + std::fmt::Debug {
     }
 }
 
-/// The total order every backend ranks neighbours by: similarity
+/// The order every backend ranks neighbours by: similarity
 /// descending, then id ascending. It is exactly the order the
 /// historical stable descending sort produced (stable ⇒ ties keep
 /// ascending row order), which is what keeps the exact backend — and
 /// any merge of exact partitions — bit-identical to the pre-index
 /// detectors.
+///
+/// A **total** order over neighbours whose similarities are not NaN
+/// (distinct ids never compare `Equal`). A NaN similarity compares
+/// `Equal` to every other similarity and falls through to the id, so
+/// a list where *every* similarity is NaN (a query holding a NaN) is
+/// still totally ordered — by id — but a mix of NaN and numbers is
+/// not transitive and must not be handed to a sort. The exact scan
+/// never sorts: its streaming selector admits a row only on a strictly
+/// greater similarity, which a NaN never is (`exact::offer_tile`).
 pub fn neighbour_cmp(a: &Neighbor, b: &Neighbor) -> std::cmp::Ordering {
     b.similarity
         .partial_cmp(&a.similarity)
@@ -151,6 +160,30 @@ pub fn neighbour_cmp(a: &Neighbor, b: &Neighbor) -> std::cmp::Ordering {
 /// than two workers' worth run inline rather than paying thread
 /// spawns.
 const MIN_ROWS_PER_WORKER: usize = 16;
+
+/// Scan work — query rows × candidate rows — below which the exact
+/// scans run inline instead of fanning out over scoped threads.
+///
+/// Sized from the reference container (2 cores, `std::thread::scope`):
+/// spawning and joining 2 idle workers takes 63–80 µs at the median
+/// (26 µs at best, 110–120 µs at p90), 4 workers 117–124 µs, while
+/// the cheapest scan — i8 × 32 dims through the tile kernel — costs
+/// ≈ 2.1 ns per row·query (21 µs per query at 10 000 rows). A fan-out
+/// over two cores therefore breaks even near 70 000 row·queries and
+/// over four shards near 115 000; at 2¹⁸ the spawns are at most a
+/// fifth of the scan they split (≈ 550 µs), so the fan-out is a clear
+/// win from the first batch that takes it. Wider rows and the f32/f16
+/// formats cost up to 12× more per row·query and merely start fanning
+/// out later than they could.
+const MIN_FAN_OUT_WORK: usize = 1 << 18;
+
+/// Whether a scan of `queries` query rows against `rows` candidates is
+/// big enough to pay for a thread fan-out: the one gate behind
+/// [`ExactIndex`]'s batch workers and [`ShardedIndex`]'s per-shard
+/// threads.
+pub(crate) fn fan_out_pays(queries: usize, rows: usize) -> bool {
+    queries.saturating_mul(rows) >= MIN_FAN_OUT_WORK
+}
 
 /// Shared batch-query harness: chunks `queries` by rows and runs
 /// [`VectorIndex::query`] per row, fanning chunks out over the

@@ -117,11 +117,6 @@ pub fn shard_for_row(seed: u64, shards: usize, row: &[f32]) -> usize {
     (h % shards as u64) as usize
 }
 
-/// Per-query work (candidate rows × query rows) below which the shard
-/// fan-out runs inline: spawning threads for toy indexes costs more
-/// than the scan it parallelizes.
-const MIN_PARALLEL_WORK: usize = 4096;
-
 /// A deterministic partition of N backends behind the [`VectorIndex`]
 /// trait. See the module docs for the contract.
 #[derive(Debug)]
@@ -303,7 +298,7 @@ impl ShardedIndex {
 
     /// Whether a fan-out over `rows` query rows is worth threads.
     fn parallel_worth_it(&self, rows: usize) -> bool {
-        self.shards.len() > 1 && rows * self.total >= MIN_PARALLEL_WORK
+        self.shards.len() > 1 && crate::fan_out_pays(rows, self.total)
     }
 }
 

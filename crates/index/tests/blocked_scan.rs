@@ -1,16 +1,18 @@
 //! Property tests: the blocked batch scan is indistinguishable from
-//! the per-row reference path.
+//! single-query scans, and the streaming top-k selection both share is
+//! indistinguishable from a full sort.
 //!
 //! The tiled `query_batch` must return exactly what a loop of
 //! single-query `query` calls returns — same ids, same similarities,
 //! same tie order — for every format, every kernel, and every
 //! relationship between the candidate count and the tile size
 //! (including stores smaller than one tile and stores that end
-//! mid-tile).
+//! mid-tile). Both must equal the reference that never streams: score
+//! every row, stable-sort under `neighbour_cmp`, truncate to k.
 
-use index::{ExactIndex, Neighbor, Quantization, VectorIndex};
+use index::{neighbour_cmp, ExactIndex, Neighbor, Quantization, VectorIndex};
 use linalg::kernels::I8Kernel;
-use linalg::ops::row_norms;
+use linalg::ops::{norm, row_norms};
 use linalg::quant::SCAN_TILE_ROWS;
 use linalg::Matrix;
 use proptest::prelude::*;
@@ -40,7 +42,70 @@ fn per_row(idx: &ExactIndex, queries: &Matrix, k: usize) -> Vec<Vec<Neighbor>> {
         .collect()
 }
 
+/// The non-streaming reference: every row's cosine through the
+/// per-row scoring path, one stable sort under `neighbour_cmp`.
+fn full_sort(idx: &ExactIndex, query: &[f32], k: usize) -> Vec<Neighbor> {
+    let query_norm = norm(query);
+    let mut all: Vec<Neighbor> = (0..idx.len())
+        .map(|id| Neighbor {
+            id,
+            similarity: idx
+                .data()
+                .cosine_row(id, idx.norms()[id], query, query_norm),
+        })
+        .collect();
+    all.sort_by(neighbour_cmp);
+    all.truncate(k);
+    all
+}
+
 proptest! {
+    /// Streaming selection == full stable sort, for k below, at and
+    /// past the candidate count, over a store built to stress the
+    /// selector: every distinct row repeated (exact ties that must
+    /// keep ascending id order), zero-norm rows (similarity 0.0 ties)
+    /// planted on both sides of every tile boundary, and an `offset`
+    /// that slides all of it across the boundaries.
+    #[test]
+    fn streaming_selection_equals_a_full_stable_sort(
+        copies in 2usize..4,
+        offset in 0usize..SCAN_TILE_ROWS,
+        cols in 2usize..16,
+        seed in 0u64..u64::MAX,
+    ) {
+        let distinct = random_matrix(SCAN_TILE_ROWS, cols, seed);
+        let mut data = random_matrix(offset, cols, seed ^ 0x5eed);
+        for r in 0..distinct.rows() {
+            for _ in 0..copies {
+                data.push_row(distinct.row(r));
+            }
+        }
+        let zero = vec![0.0f32; cols];
+        let n = data.rows();
+        let boundaries: Vec<usize> = (SCAN_TILE_ROWS..n).step_by(SCAN_TILE_ROWS).collect();
+        let mut planted = Matrix::zeros(0, cols);
+        for r in 0..n {
+            let straddles = boundaries.iter().any(|&b| r + 1 == b || r == b);
+            planted.push_row(if straddles { &zero } else { data.row(r) });
+        }
+        let data = planted;
+        let queries = random_matrix(3, cols, seed ^ 0x717e);
+        for quant in [Quantization::F32, Quantization::F16, Quantization::I8] {
+            let idx = build(&data, quant);
+            for k in [1, 3, n, n + 5] {
+                let reference: Vec<Vec<Neighbor>> = (0..queries.rows())
+                    .map(|q| full_sort(&idx, queries.row(q), k))
+                    .collect();
+                prop_assert_eq!(&per_row(&idx, &queries, k), &reference);
+                for kernel in [I8Kernel::Scalar, I8Kernel::Swar, I8Kernel::Arch] {
+                    prop_assert_eq!(
+                        &idx.query_batch_with_kernel(kernel, &queries, k),
+                        &reference);
+                }
+            }
+        }
+    }
+
     /// Blocked batch == per-row loop for every format × kernel, with
     /// candidate counts chosen to land before, on, and after tile
     /// boundaries.

@@ -34,10 +34,17 @@
 //!   SWAR kernel on other targets, so [`I8Kernel::Arch`] is always
 //!   safe to request.
 //!
-//! [`dot_i8`] (what the scan uses) is `Arch`. The enum exists so the
-//! parity suites — and the scalar/blocked/SIMD rows of
-//! `benches/quant_scale.rs` — can pin every path against the scalar
-//! reference on whatever hardware CI runs.
+//! [`dot_i8`] (what the HNSW traversal uses, one row at a time) is
+//! `Arch`. The enum exists so the parity suites — and the
+//! scalar/blocked/SIMD rows of `benches/quant_scale.rs` — can pin every
+//! path against the scalar reference on whatever hardware CI runs.
+//!
+//! The exact scan does not go row by row: [`dot_i8_tile`] scores a
+//! whole tile of candidate rows against a block of queries per call —
+//! one dispatch per tile, row codes sign-extended once per register
+//! block, horizontal sums shared by four rows — and returns the same
+//! `i32`s as [`dot_i8_scalar`] per (row, query) under every
+//! [`I8Kernel`].
 //!
 //! The `x86`/`neon` submodules are the workspace's **only** `unsafe`
 //! code; they carry `#![deny(unsafe_op_in_unsafe_fn)]` and per-call
@@ -46,6 +53,7 @@
 
 mod gemm;
 pub mod swar;
+mod tile;
 
 #[cfg(target_arch = "aarch64")]
 #[allow(unsafe_code)]
@@ -55,6 +63,7 @@ pub mod neon;
 pub mod x86;
 
 pub use gemm::{gemm_nn, gemm_nt};
+pub use tile::dot_i8_tile;
 
 /// Which i8 dot-product implementation to run. All variants return
 /// identical results (the arithmetic is exact); the enum exists for

@@ -22,6 +22,8 @@
 //!   f32 kernels, the optimizer is *allowed* to vectorize this, which
 //!   is exactly why the i8 scan can beat the f32 scan on one core.
 
+use super::tile::{Block, ROW_BLOCK};
+
 /// Exact i8 dot product over u64-word lanes. Identical to
 /// [`crate::kernels::dot_i8_scalar`] on every input.
 ///
@@ -46,6 +48,41 @@ pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
         acc += x as i32 * y as i32;
     }
     acc
+}
+
+/// The portable register block of the tile kernel
+/// ([`crate::kernels::dot_i8_tile`]): each row word is loaded and
+/// peeled into lanes once, then reused against every query of the
+/// block.
+pub(super) struct Swar;
+
+impl Block for Swar {
+    const LANES: usize = 8;
+
+    fn dots<const NQ: usize>(
+        rows: [&[i8]; ROW_BLOCK],
+        queries: [&[i16]; NQ],
+    ) -> [[i32; ROW_BLOCK]; NQ] {
+        let mut sums = [[0i32; ROW_BLOCK]; NQ];
+        for w in 0..rows[0].len() / 8 {
+            let span = w * 8..w * 8 + 8;
+            let lanes: [[i32; 8]; ROW_BLOCK] = rows.map(|r| {
+                let x = word(&r[span.clone()]);
+                std::array::from_fn(|i| lane(x, i))
+            });
+            for (query, per_query) in queries.iter().zip(&mut sums) {
+                let q = &query[span.clone()];
+                for (row_lanes, sum) in lanes.iter().zip(per_query) {
+                    *sum += row_lanes
+                        .iter()
+                        .zip(q)
+                        .map(|(&x, &y)| x * y as i32)
+                        .sum::<i32>();
+                }
+            }
+        }
+        sums
+    }
 }
 
 /// Packs 8 i8 codes into one little-endian u64 word.

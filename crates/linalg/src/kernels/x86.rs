@@ -1,6 +1,8 @@
 //! x86_64 `core::arch` i8 dot kernels: SSE2 (baseline — every x86_64
 //! CPU has it) and AVX2 (picked once at load via
-//! `is_x86_feature_detected!`, cached in a dispatched fn pointer).
+//! `is_x86_feature_detected!`, cached in dispatched fn pointers) — a
+//! per-row pair ([`dot_i8`]) and a per-tile pair ([`dot_i8_tile`],
+//! register blocks plugged into the shared `tile::run` walk).
 //!
 //! Both paths sign-extend i8 lanes to i16 and use the widening
 //! multiply-add (`pmaddwd` / `vpmaddwd`): each instruction computes
@@ -20,6 +22,7 @@
 //! into an explicit block with its safety argument alongside.
 #![deny(unsafe_op_in_unsafe_fn)]
 
+use super::tile::{self, Block, ROW_BLOCK};
 use core::arch::x86_64::*;
 use std::sync::OnceLock;
 
@@ -27,10 +30,37 @@ use std::sync::OnceLock;
 /// worst case; embedding dims are ≤ a few thousand.
 const MAX_EXACT_LEN: usize = 1 << 20;
 
-/// Signature shared by the SSE2/AVX2 kernels so one dispatched fn
-/// pointer covers both (`unsafe` because the AVX2 body requires the
+/// Signature shared by the SSE2/AVX2 per-row kernels so one dispatched
+/// fn pointer covers both (`unsafe` because the AVX2 body requires the
 /// detected feature).
 type DotI8Fn = unsafe fn(&[i8], &[i8]) -> i32;
+
+/// Signature shared by the SSE2/AVX2 tile kernels: `(rows, n_rows,
+/// queries, n_queries, out)` as in [`dot_i8_tile`].
+type TileI8Fn = unsafe fn(&[i8], usize, &[i16], usize, &mut [i32]);
+
+/// The kernels this CPU runs, detected once per process.
+struct Dispatch {
+    dot: DotI8Fn,
+    tile: TileI8Fn,
+}
+
+fn dispatch() -> &'static Dispatch {
+    static DISPATCH: OnceLock<Dispatch> = OnceLock::new();
+    DISPATCH.get_or_init(|| {
+        if std::arch::is_x86_feature_detected!("avx2") {
+            Dispatch {
+                dot: dot_i8_avx2,
+                tile: tile_avx2,
+            }
+        } else {
+            Dispatch {
+                dot: dot_i8_sse2,
+                tile: tile_sse2,
+            }
+        }
+    })
+}
 
 /// Best-available x86_64 i8 dot product (AVX2 where the CPU has it,
 /// SSE2 otherwise). Exact: identical to the scalar reference.
@@ -42,18 +72,25 @@ type DotI8Fn = unsafe fn(&[i8], &[i8]) -> i32;
 pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
     assert_eq!(a.len(), b.len(), "i8 dot length mismatch");
     debug_assert!(a.len() <= MAX_EXACT_LEN, "i8 dot width overflows i32");
-    static DISPATCH: OnceLock<DotI8Fn> = OnceLock::new();
-    let f = DISPATCH.get_or_init(|| {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            dot_i8_avx2
-        } else {
-            dot_i8_sse2
-        }
-    });
     // SAFETY: the dispatched fn only requires the feature it was
-    // selected under (`avx2` checked above; SSE2 is part of the
-    // x86_64 baseline), and both take ordinary slices.
-    unsafe { f(a, b) }
+    // selected under (`avx2` checked in `dispatch`; SSE2 is part of
+    // the x86_64 baseline), and both take ordinary slices.
+    unsafe { (dispatch().dot)(a, b) }
+}
+
+/// Best-available x86_64 tile kernel — the `I8Kernel::Arch` arm of
+/// [`crate::kernels::dot_i8_tile`], which has already checked the
+/// shapes. One dispatch per tile.
+pub(super) fn dot_i8_tile(
+    rows: &[i8],
+    n_rows: usize,
+    queries: &[i16],
+    n_queries: usize,
+    out: &mut [i32],
+) {
+    // SAFETY: as in `dot_i8` — the fn was selected under the feature
+    // it requires, and takes ordinary slices.
+    unsafe { (dispatch().tile)(rows, n_rows, queries, n_queries, out) }
 }
 
 /// SSE2 kernel: 16 code lanes per iteration, unaligned loads.
@@ -143,6 +180,167 @@ pub unsafe fn dot_i8_avx2(a: &[i8], b: &[i8]) -> i32 {
     }
 }
 
+/// The SSE2 tile kernel: [`tile::run`] over [`Sse2`] blocks.
+///
+/// # Safety
+///
+/// None beyond the x86_64 baseline; `unsafe fn` only to share
+/// [`TileI8Fn`] with the AVX2 kernel.
+unsafe fn tile_sse2(
+    rows: &[i8],
+    n_rows: usize,
+    queries: &[i16],
+    n_queries: usize,
+    out: &mut [i32],
+) {
+    tile::run::<Sse2>(rows, n_rows, queries, n_queries, out);
+}
+
+/// The AVX2 tile kernel: [`tile::run`] over [`Avx2`] blocks, inlined
+/// into this function's feature context.
+///
+/// # Safety
+///
+/// The caller must ensure the CPU supports AVX2 ([`dispatch`] checks).
+#[target_feature(enable = "avx2")]
+unsafe fn tile_avx2(
+    rows: &[i8],
+    n_rows: usize,
+    queries: &[i16],
+    n_queries: usize,
+    out: &mut [i32],
+) {
+    tile::run::<Avx2>(rows, n_rows, queries, n_queries, out);
+}
+
+/// SSE2 register block: 8 code lanes per step.
+struct Sse2;
+
+impl Block for Sse2 {
+    const LANES: usize = 8;
+
+    #[inline(always)]
+    fn dots<const NQ: usize>(
+        rows: [&[i8]; ROW_BLOCK],
+        queries: [&[i16]; NQ],
+    ) -> [[i32; ROW_BLOCK]; NQ] {
+        // SAFETY: SSE2 is part of the x86_64 baseline.
+        unsafe { dots_sse2(rows, queries) }
+    }
+}
+
+/// AVX2 register block: 16 code lanes per step.
+struct Avx2;
+
+impl Block for Avx2 {
+    const LANES: usize = 16;
+
+    #[inline(always)]
+    fn dots<const NQ: usize>(
+        rows: [&[i8]; ROW_BLOCK],
+        queries: [&[i16]; NQ],
+    ) -> [[i32; ROW_BLOCK]; NQ] {
+        // SAFETY: `Avx2` is private to this module and named only by
+        // `tile_avx2`, whose own contract is that the CPU has AVX2.
+        unsafe { dots_avx2(rows, queries) }
+    }
+}
+
+/// [`Block::dots`] on SSE2: each 8-code row step is sign-extended once
+/// and multiplied against every query of the block; a query's four row
+/// accumulators are transposed and summed together.
+///
+/// # Safety
+///
+/// SSE2 is mandatory on x86_64; `unsafe fn` for the raw loads only.
+#[inline]
+unsafe fn dots_sse2<const NQ: usize>(
+    rows: [&[i8]; ROW_BLOCK],
+    queries: [&[i16]; NQ],
+) -> [[i32; ROW_BLOCK]; NQ] {
+    let n = tile::block_len(&rows, &queries);
+    debug_assert!(n <= MAX_EXACT_LEN, "i8 dot width overflows i32");
+    let mut sums = [[0i32; ROW_BLOCK]; NQ];
+    // SAFETY: all intrinsics are SSE2; loads and the store are
+    // unaligned variants; step `s` reads codes [8s, 8s+8) of slices
+    // `block_len` proved `n` long, with 8(s+1) ≤ n; the store writes
+    // the 4 i32 of one `sums` row.
+    unsafe {
+        let zero = _mm_setzero_si128();
+        let mut acc = [[zero; ROW_BLOCK]; NQ];
+        for s in 0..n / 8 {
+            let q: [__m128i; NQ] = std::array::from_fn(|j| {
+                _mm_loadu_si128(queries[j].as_ptr().add(s * 8) as *const __m128i)
+            });
+            for (i, row) in rows.iter().enumerate() {
+                let v = _mm_loadl_epi64(row.as_ptr().add(s * 8) as *const __m128i);
+                let r = _mm_unpacklo_epi8(v, _mm_cmpgt_epi8(zero, v));
+                for (per_query, &qv) in acc.iter_mut().zip(&q) {
+                    per_query[i] = _mm_add_epi32(per_query[i], _mm_madd_epi16(r, qv));
+                }
+            }
+        }
+        for (per_query, out) in acc.iter().zip(&mut sums) {
+            let [a, b, c, d] = *per_query;
+            // 4×4 transpose-and-add: [Σa, Σb, Σc, Σd].
+            let ab = _mm_add_epi32(_mm_unpacklo_epi32(a, b), _mm_unpackhi_epi32(a, b));
+            let cd = _mm_add_epi32(_mm_unpacklo_epi32(c, d), _mm_unpackhi_epi32(c, d));
+            let total = _mm_add_epi32(_mm_unpacklo_epi64(ab, cd), _mm_unpackhi_epi64(ab, cd));
+            _mm_storeu_si128(out.as_mut_ptr() as *mut __m128i, total);
+        }
+    }
+    sums
+}
+
+/// [`Block::dots`] on AVX2: each 16-code row step is sign-extended
+/// once (`vpmovsxbw`) and multiplied against every query of the block
+/// (`vpmaddwd`); a query's four row accumulators go through one
+/// `vphaddd` tree, so four sums cost one horizontal reduction.
+///
+/// # Safety
+///
+/// The caller must ensure the CPU supports AVX2.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn dots_avx2<const NQ: usize>(
+    rows: [&[i8]; ROW_BLOCK],
+    queries: [&[i16]; NQ],
+) -> [[i32; ROW_BLOCK]; NQ] {
+    let n = tile::block_len(&rows, &queries);
+    debug_assert!(n <= MAX_EXACT_LEN, "i8 dot width overflows i32");
+    let mut sums = [[0i32; ROW_BLOCK]; NQ];
+    // SAFETY: intrinsics require AVX2, guaranteed by the caller; loads
+    // and the store are unaligned variants; step `s` reads codes
+    // [16s, 16s+16) of slices `block_len` proved `n` long, with
+    // 16(s+1) ≤ n; the store writes the 4 i32 of one `sums` row.
+    unsafe {
+        let mut acc = [[_mm256_setzero_si256(); ROW_BLOCK]; NQ];
+        for s in 0..n / 16 {
+            let q: [__m256i; NQ] = std::array::from_fn(|j| {
+                _mm256_loadu_si256(queries[j].as_ptr().add(s * 16) as *const __m256i)
+            });
+            for (i, row) in rows.iter().enumerate() {
+                let codes = _mm_loadu_si128(row.as_ptr().add(s * 16) as *const __m128i);
+                let r = _mm256_cvtepi8_epi16(codes);
+                for (per_query, &qv) in acc.iter_mut().zip(&q) {
+                    per_query[i] = _mm256_add_epi32(per_query[i], _mm256_madd_epi16(r, qv));
+                }
+            }
+        }
+        for (per_query, out) in acc.iter().zip(&mut sums) {
+            let [a, b, c, d] = *per_query;
+            // Per 128-bit half: [Σa, Σb, Σc, Σd] of that half's lanes.
+            let halves = _mm256_hadd_epi32(_mm256_hadd_epi32(a, b), _mm256_hadd_epi32(c, d));
+            let total = _mm_add_epi32(
+                _mm256_castsi256_si128(halves),
+                _mm256_extracti128_si256(halves, 1),
+            );
+            _mm_storeu_si128(out.as_mut_ptr() as *mut __m128i, total);
+        }
+    }
+    sums
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,6 +376,24 @@ mod tests {
             // SAFETY: AVX2 presence checked above.
             let got = unsafe { dot_i8_avx2(&a, &b) };
             assert_eq!(got, dot_i8_scalar(&a, &b), "n={}", a.len());
+        }
+    }
+
+    #[test]
+    fn sse2_tile_matches_scalar() {
+        // SAFETY: SSE2 is baseline on x86_64.
+        tile::tests::check_against_scalar("sse2", |r, nr, q, nq, out| unsafe {
+            tile_sse2(r, nr, q, nq, out)
+        });
+    }
+
+    #[test]
+    fn avx2_tile_matches_scalar_when_available() {
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 presence checked above.
+            tile::tests::check_against_scalar("avx2", |r, nr, q, nq, out| unsafe {
+                tile_avx2(r, nr, q, nq, out)
+            });
         }
     }
 

@@ -25,12 +25,16 @@
 //!   [`crate::kernels`], and `scale_row × scale_query` dequantizes the
 //!   final integer once, see [`finish_i8_dot`]) without materializing
 //!   an `f32` row.
-//! * [`PreparedQuery`] / [`QuantizedMatrix::dot_tile`] — the scan hot
-//!   path: a query is validated and (for i8) quantized **once per
-//!   scan**, then candidate rows are scored in cache-sized tiles
-//!   ([`SCAN_TILE_ROWS`]) with a whole block of queries per tile, so
-//!   the f16 decode and the row stream are amortized across queries
-//!   and the i8 inner loop runs the SIMD integer kernels.
+//! * [`PreparedQuery`] — one query validated and (for i8) quantized
+//!   **once**, for callers that score scattered rows one at a time
+//!   (the HNSW traversal).
+//! * [`PreparedBlock`] / [`QuantizedMatrix::dot_tile`] — the exact
+//!   scan's hot path: a block of queries is validated, quantized and
+//!   (for i8) widened to i16 **once per scan**, then candidate rows are
+//!   scored in cache-sized tiles ([`SCAN_TILE_ROWS`]) with the whole
+//!   block per tile, so the f16 decode and the row stream are
+//!   amortized across queries and each i8 tile is one call into the
+//!   fused integer kernel ([`kernels::dot_i8_tile`]).
 //!
 //! The `F32` variant wraps a plain [`Matrix`] and its kernels are the
 //! exact historical ones — every f32-configured index stays
@@ -47,8 +51,10 @@ use std::sync::OnceLock;
 /// Candidate rows per scan tile. Sized so a decoded f16 tile
 /// (`TILE × cols × 4` bytes — 16 KiB at the paper's 64-dim embedding)
 /// stays L1-resident while a block of queries is scored against it,
-/// amortizing the f16 table decode (and the i8 row-pointer walk)
-/// across every query in the block instead of re-paying it per query.
+/// amortizing the f16 table decode across every query in the block
+/// instead of re-paying it per query; an i8 tile is one call into the
+/// fused integer kernel, and 64 rows × 16 queries of its `i32` sums
+/// are 4 KiB.
 pub const SCAN_TILE_ROWS: usize = 64;
 
 /// Candidate storage format for a vector index.
@@ -186,17 +192,26 @@ fn f16_table() -> &'static [f32] {
 /// ≤ `scale / 2`. An all-zero (or all-non-finite-free zero) row gets
 /// scale 0 and all-zero codes.
 pub fn i8_encode_row(row: &[f32]) -> (Vec<i8>, f32) {
+    let mut codes = Vec::with_capacity(row.len());
+    let scale = i8_encode_with(row, |code| codes.push(code));
+    (codes, scale)
+}
+
+/// [`i8_encode_row`] handing each code to `emit` in column order and
+/// returning the scale — the one quantizer behind stored rows, prepared
+/// queries and prepared blocks, so their codes cannot drift apart.
+fn i8_encode_with(row: &[f32], mut emit: impl FnMut(i8)) -> f32 {
     let max_abs = row.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
     if max_abs == 0.0 {
-        return (vec![0; row.len()], 0.0);
+        row.iter().for_each(|_| emit(0));
+        return 0.0;
     }
     let scale = max_abs / 127.0;
     let inv = 1.0 / scale as f64;
-    let codes = row
-        .iter()
-        .map(|&x| ((x as f64 * inv).round() as i32).clamp(-127, 127) as i8)
-        .collect();
-    (codes, scale)
+    for &x in row {
+        emit(((x as f64 * inv).round() as i32).clamp(-127, 127) as i8);
+    }
+    scale
 }
 
 /// Dequantizes a finished exact-integer i8 dot product: the stored row
@@ -525,8 +540,43 @@ impl QuantizedMatrix {
         self.dot_row_prepared(r, pq) / (row_norm * query_norm)
     }
 
+    /// Validates and pre-processes a block of queries for
+    /// [`QuantizedMatrix::dot_tile`], refilling `block` in place (its
+    /// buffers are reused from scan block to scan block). For `I8`
+    /// every query is symmetrically quantized by the same quantizer as
+    /// [`QuantizedMatrix::prepare_query`] and its codes widened to i16
+    /// here, once — the form the tile kernel multiplies.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any query's length differs from `self.cols()`.
+    pub fn prepare_block<'q>(
+        &self,
+        queries: impl IntoIterator<Item = &'q [f32]>,
+        block: &mut PreparedBlock<'q>,
+    ) {
+        block.queries.clear();
+        block.i8_wide.clear();
+        block.i8_scales.clear();
+        for query in queries {
+            assert_eq!(
+                query.len(),
+                self.cols(),
+                "query width mismatch: query has {} dims, matrix has {}",
+                query.len(),
+                self.cols()
+            );
+            block.queries.push(query);
+            if let QuantizedMatrix::I8 { .. } = self {
+                let wide = &mut block.i8_wide;
+                let scale = i8_encode_with(query, |code| wide.push(code.into()));
+                block.i8_scales.push(scale);
+            }
+        }
+    }
+
     /// Blocked scan primitive: dot products of the row tile
-    /// `[row_start, row_start + nrows)` against a block of prepared
+    /// `[row_start, row_start + nrows)` against a prepared block of
     /// queries, written to `out[q * nrows + i]` for query `q` and tile
     /// row `i`.
     ///
@@ -538,17 +588,18 @@ impl QuantizedMatrix {
     ///   and accumulation order match the per-row table kernel
     ///   exactly, so f16 scores are bit-identical to the unblocked
     ///   path.
-    /// * `I8` — each query's codes were quantized once at prepare
-    ///   time; the inner loop is the exact-integer kernel, finished by
-    ///   [`finish_i8_dot`] — score-identical to [`dot_row`] under
+    /// * `I8` — one call into the fused integer tile kernel
+    ///   ([`kernels::dot_i8_tile`]) yields every exact `i32` sum of the
+    ///   tile, and [`finish_i8_dot`] dequantizes them in one
+    ///   vectorizable pass — score-identical to [`dot_row`] under
     ///   every [`I8Kernel`].
     /// * `F32` — plain sequential dots ([`dot`]'s order), bit-identical
     ///   to the historical scan.
     ///
     /// # Panics
     ///
-    /// Panics if the tile range is out of bounds or `out` is shorter
-    /// than `queries.len() · nrows`.
+    /// Panics if the tile range is out of bounds, `block` was prepared
+    /// for another width, or `out` is shorter than `block.len() · nrows`.
     ///
     /// [`dot_row`]: QuantizedMatrix::dot_row
     pub fn dot_tile(
@@ -556,52 +607,63 @@ impl QuantizedMatrix {
         kernel: I8Kernel,
         row_start: usize,
         nrows: usize,
-        queries: &[PreparedQuery<'_>],
-        scratch: &mut Vec<f32>,
+        block: &PreparedBlock<'_>,
+        scratch: &mut TileScratch,
         out: &mut [f32],
     ) {
         assert!(row_start + nrows <= self.rows(), "tile out of bounds");
         assert!(
-            out.len() >= queries.len() * nrows,
+            out.len() >= block.len() * nrows,
             "tile output buffer too small"
         );
         match self {
             QuantizedMatrix::F32(m) => {
-                for (q, pq) in queries.iter().enumerate() {
+                for (q, query) in block.queries.iter().enumerate() {
                     let out_q = &mut out[q * nrows..(q + 1) * nrows];
                     for (i, o) in out_q.iter_mut().enumerate() {
-                        *o = dot(m.row(row_start + i), pq.query);
+                        *o = dot(m.row(row_start + i), query);
                     }
                 }
             }
             QuantizedMatrix::F16 { cols, data, .. } => {
                 let table = f16_table();
-                scratch.clear();
-                scratch.extend(
+                let decoded = &mut scratch.decoded;
+                decoded.clear();
+                decoded.extend(
                     data[row_start * cols..(row_start + nrows) * cols]
                         .iter()
                         .map(|&h| table[h as usize]),
                 );
-                for (q, pq) in queries.iter().enumerate() {
+                for (q, query) in block.queries.iter().enumerate() {
                     let out_q = &mut out[q * nrows..(q + 1) * nrows];
                     for (i, o) in out_q.iter_mut().enumerate() {
-                        *o = kernels::dot_f32(&scratch[i * cols..(i + 1) * cols], pq.query);
+                        *o = kernels::dot_f32(&decoded[i * cols..(i + 1) * cols], query);
                     }
                 }
             }
             QuantizedMatrix::I8 {
                 cols, data, scales, ..
             } => {
-                for (q, pq) in queries.iter().enumerate() {
-                    let out_q = &mut out[q * nrows..(q + 1) * nrows];
-                    for (i, o) in out_q.iter_mut().enumerate() {
-                        let r = row_start + i;
-                        let row = &data[r * cols..(r + 1) * cols];
-                        *o = finish_i8_dot(
-                            kernels::dot_i8_with(kernel, row, &pq.i8_codes),
-                            scales[r],
-                            pq.i8_scale,
-                        );
+                let sums = &mut scratch.sums;
+                sums.clear();
+                sums.resize(block.len() * nrows, 0);
+                kernels::dot_i8_tile(
+                    kernel,
+                    &data[row_start * cols..(row_start + nrows) * cols],
+                    nrows,
+                    &block.i8_wide,
+                    block.len(),
+                    sums,
+                );
+                let row_scales = &scales[row_start..row_start + nrows];
+                for (q, &query_scale) in block.i8_scales.iter().enumerate() {
+                    let span = q * nrows..(q + 1) * nrows;
+                    for ((o, &sum), &row_scale) in out[span.clone()]
+                        .iter_mut()
+                        .zip(&sums[span])
+                        .zip(row_scales)
+                    {
+                        *o = finish_i8_dot(sum, row_scale, query_scale);
                     }
                 }
             }
@@ -676,6 +738,46 @@ impl<'q> PreparedQuery<'q> {
     pub fn query(&self) -> &'q [f32] {
         self.query
     }
+}
+
+/// A block of queries validated — and, for `I8` matrices, quantized
+/// and widened to i16 — once via [`QuantizedMatrix::prepare_block`],
+/// ready for [`QuantizedMatrix::dot_tile`] over every tile of a scan.
+/// Refilled in place, so one value serves a whole batch.
+#[derive(Debug, Default)]
+pub struct PreparedBlock<'q> {
+    /// The original full-precision queries.
+    queries: Vec<&'q [f32]>,
+    /// Query-major i8 codes widened to i16, `len · cols` long (empty
+    /// unless prepared against an `I8` matrix).
+    i8_wide: Vec<i16>,
+    /// One i8 scale per query (empty unless prepared against `I8`).
+    i8_scales: Vec<f32>,
+}
+
+impl<'q> PreparedBlock<'q> {
+    /// Number of queries in the block.
+    pub fn len(&self) -> usize {
+        self.queries.len()
+    }
+
+    /// Whether the block holds no queries.
+    pub fn is_empty(&self) -> bool {
+        self.queries.is_empty()
+    }
+
+    /// The full-precision queries the block was prepared from.
+    pub fn queries(&self) -> &[&'q [f32]] {
+        &self.queries
+    }
+}
+
+/// Buffers [`QuantizedMatrix::dot_tile`] reuses from tile to tile: the
+/// decoded f16 tile and the i8 tile's integer sums.
+#[derive(Debug, Default)]
+pub struct TileScratch {
+    decoded: Vec<f32>,
+    sums: Vec<i32>,
 }
 
 #[cfg(test)]
@@ -826,14 +928,16 @@ mod tests {
             .collect();
         for quant in [Quantization::F32, Quantization::F16, Quantization::I8] {
             let q = QuantizedMatrix::encode(m.clone(), quant);
-            let prepared: Vec<PreparedQuery> = queries.iter().map(|v| q.prepare_query(v)).collect();
+            let mut block = PreparedBlock::default();
+            q.prepare_block(queries.iter().map(Vec::as_slice), &mut block);
+            assert_eq!(block.len(), queries.len());
             for kernel in [I8Kernel::Scalar, I8Kernel::Swar, I8Kernel::Arch] {
-                let mut scratch = Vec::new();
+                let mut scratch = TileScratch::default();
                 // Tiles of 9 leave a ragged final tile of 5 rows.
                 for row_start in (0..q.rows()).step_by(9) {
                     let nrows = 9.min(q.rows() - row_start);
-                    let mut out = vec![f32::NAN; prepared.len() * nrows];
-                    q.dot_tile(kernel, row_start, nrows, &prepared, &mut scratch, &mut out);
+                    let mut out = vec![f32::NAN; block.len() * nrows];
+                    q.dot_tile(kernel, row_start, nrows, &block, &mut scratch, &mut out);
                     for (qi, query) in queries.iter().enumerate() {
                         for i in 0..nrows {
                             assert_eq!(
@@ -884,6 +988,13 @@ mod tests {
             assert!(
                 std::panic::catch_unwind(|| q.prepare_query(&narrow)).is_err(),
                 "{quant} prepare_query accepted a narrow query"
+            );
+            assert!(
+                std::panic::catch_unwind(|| {
+                    q.prepare_block([&narrow[..]], &mut PreparedBlock::default())
+                })
+                .is_err(),
+                "{quant} prepare_block accepted a narrow query"
             );
         }
     }
