@@ -40,5 +40,5 @@ pub use index::{
 pub use knn::{merge_shard_candidates, RetrievalDetector, ShardCandidate, ShardMerge, VanillaKnn};
 pub use ocsvm::OneClassSvm;
 pub use pca::PcaDetector;
-pub use state::{DetectorState, ShardedDetectorState};
+pub use state::{fit_neighbour_detector, DetectorState, ShardedDetectorState};
 pub use structural::{FittedStructural, StructuralDetector, MAX_EXEMPLARS};

@@ -14,7 +14,10 @@ use crate::detector::Detector;
 use crate::structural::{FittedStructural, StructuralDetector};
 use crate::{RetrievalDetector, RetrievalMethod, VanillaKnn, VanillaKnnMethod};
 use index::persist::{ByteReader, ByteWriter, PersistError};
-use index::{IndexSnapshot, Quantization, QuantizedMatrix, ShardBackend, ShardedParams};
+use index::{
+    IndexConfig, IndexSnapshot, Quantization, QuantizedMatrix, ShardBackend, ShardedParams,
+};
+use linalg::Matrix;
 use serde::{Deserialize, Serialize};
 use shell_parser::STRUCTURAL_DIM;
 
@@ -47,6 +50,35 @@ fn empty_snapshot(backend: ShardBackend, dim: usize, quant: Quantization) -> Ind
             tombstone: Vec::new(),
             draws: 0,
         },
+    }
+}
+
+/// Fits a fresh neighbour detector of the kind a captured state names
+/// ([`DetectorState::name`], [`ShardedDetectorState::name`]) over
+/// `rows` — how a serving layer rebuilds a partition it is reshaping
+/// or starts a shard that held no rows. `labels` holds one entry per
+/// row; retrieval indexes only the `true` ones, as at any fit.
+///
+/// # Panics
+///
+/// Panics on a name that is not a neighbour method: a new
+/// shard-mergeable method must get its arm here rather than be
+/// re-fitted as one of the others.
+pub fn fit_neighbour_detector(
+    name: &str,
+    rows: &Matrix,
+    labels: &[bool],
+    k: usize,
+    config: IndexConfig,
+) -> Box<dyn Detector> {
+    match name {
+        "retrieval" => Box::new(RetrievalMethod::from_fitted(RetrievalDetector::fit_with(
+            rows, labels, k, config, None,
+        ))),
+        "vanilla-knn" => Box::new(VanillaKnnMethod::from_fitted(VanillaKnn::fit_with(
+            rows, labels, k, config, None,
+        ))),
+        other => panic!("{other:?} is not a neighbour method"),
     }
 }
 
@@ -441,8 +473,6 @@ impl ShardedDetectorState {
 mod tests {
     use super::*;
     use crate::{EmbeddingView, PcaMethod};
-    use index::IndexConfig;
-    use linalg::Matrix;
 
     fn toy() -> (EmbeddingView, Vec<bool>) {
         let rows: Vec<Vec<f32>> = vec![

@@ -23,9 +23,7 @@ use cmdline_ids::embed::Pooling;
 use cmdline_ids::engine::{EmbeddingStore, FittedEngine, ScoringEngine};
 use cmdline_ids::pipeline::PipelineConfig;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use serve::{
-    DriftConfig, DriftDetector, LifecycleConfig, RefitSource, ScoringService, ServeConfig,
-};
+use serve::{DriftConfig, DriftDetector, Frontend, LifecycleConfig, RefitSource, ServeConfig};
 use std::collections::HashMap;
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
@@ -70,10 +68,11 @@ fn lifecycle(exp: &Experiment) -> LifecycleConfig {
         .manual()
 }
 
-fn spawn(exp: &Experiment) -> ScoringService {
-    ScoringService::spawn_with_lifecycle(
+fn spawn(exp: &Experiment) -> Frontend {
+    Frontend::spawn_with_lifecycle(
         exp.pipeline.clone(),
         fit_set(exp),
+        1,
         ServeConfig {
             queue_capacity: 64,
             max_batch: 32,

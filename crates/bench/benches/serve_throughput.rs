@@ -31,7 +31,7 @@ use cmdline_ids::engine::{
 use cmdline_ids::pipeline::PipelineConfig;
 use cmdline_ids::tuning::TuneConfig;
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use serve::{ScoringService, ServeConfig, ServiceClient};
+use serve::{Frontend, ServeConfig, ServiceClient};
 use std::time::Duration;
 
 use anomaly::{
@@ -81,10 +81,11 @@ fn score_kernel(exp: &Experiment, fitted: &FittedEngine, lines: &[&str]) {
     black_box(fitted.score_each(|_| view.clone()));
 }
 
-fn spawn_service(exp: &Experiment, batch_window: Duration) -> ScoringService {
-    ScoringService::spawn(
+fn spawn_service(exp: &Experiment, batch_window: Duration) -> Frontend {
+    Frontend::spawn(
         exp.pipeline.clone(),
         fit_resident_set(exp),
+        1,
         ServeConfig {
             queue_capacity: 64,
             max_batch: if batch_window.is_zero() { 1 } else { MAX_BATCH },

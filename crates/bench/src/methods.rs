@@ -340,8 +340,9 @@ impl ReplayReport {
 
 /// Fits `engine` on the experiment's supervision (store-memoized,
 /// per-detector pooled views), scores the de-duplicated test split
-/// once as the batch reference, then replays the same split through a
-/// long-lived [`serve::ScoringService`] in `chunk`-line arrivals —
+/// once as the batch reference, then replays the same split through
+/// the long-lived scoring service ([`serve::Frontend`], `shards == 1`:
+/// every detector resident, no shard pool) in `chunk`-line arrivals —
 /// the `--serve` mode of the table binaries.
 pub fn replay_through_service(
     exp: &Experiment,
@@ -364,7 +365,7 @@ pub fn replay_through_service(
         .map(|m| m.scores.clone())
         .collect();
 
-    let service = serve::ScoringService::spawn(exp.pipeline.clone(), fitted, serve_config)
+    let service = serve::Frontend::spawn(exp.pipeline.clone(), fitted, 1, serve_config)
         .expect("table methods are line-aligned");
     let mut streamed: Vec<Vec<f32>> = vec![Vec::with_capacity(test_lines.len()); names.len()];
     let t0 = std::time::Instant::now();

@@ -45,8 +45,8 @@ mod methods;
 mod store;
 
 pub use anomaly::{
-    merge_shard_candidates, Detector, DetectorError, DetectorState, EmbeddingView, Pooling,
-    ShardCandidate, ShardMerge, ShardedDetectorState,
+    fit_neighbour_detector, merge_shard_candidates, Detector, DetectorError, DetectorState,
+    EmbeddingView, Pooling, ShardCandidate, ShardMerge, ShardedDetectorState,
 };
 pub use index::{HnswParams, IndexBackend, IndexConfig, Quantization, ShardBackend, ShardedParams};
 pub use methods::{

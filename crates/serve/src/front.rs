@@ -1,19 +1,17 @@
-//! One facade over both scoring front-ends, with an optional verdict
-//! cache in front.
+//! The scoring service's public face: one [`ShardRouter`] with an
+//! optional verdict cache and tenant map in front.
 //!
-//! [`ScoringService`] and [`ShardRouter`] already speak the same
-//! [`ServiceClient`] protocol, but callers that want "spawn the right
-//! front-end for this detector set, maybe with a verdict cache" had to
-//! duplicate the dispatch (`examples/streaming_score.rs` carried a
-//! private copy). [`Frontend`] owns that dispatch once, and it is the
-//! single place the [`VerdictCache`] is threaded into the scoring and
-//! append paths — the TCP front-end (`serve::net`) serves through an
+//! [`Frontend::spawn`] is the constructor callers use — `shards == 1`
+//! keeps every detector resident, `shards > 1` feeds that many shard
+//! pools from the same scoring loop — and [`Frontend`] is the single
+//! place the [`VerdictCache`] is threaded into the scoring and append
+//! paths. The TCP front-end (`serve::net`) serves through an
 //! `Arc<Frontend>`, so the wire path and the in-process path share one
 //! cache discipline and stay bit-identical.
 
 use crate::cache::{merge_verdicts, CacheStats, VerdictCache};
 use crate::lifecycle::{LifecycleConfig, LifecycleStats};
-use crate::service::{ScoringService, ServeConfig, ServeError, ServiceClient, ServiceStats};
+use crate::service::{ServeConfig, ServeError, ServiceClient, ServiceStats};
 use crate::snapshot::ServiceSnapshot;
 use crate::tenants::{TenantError, TenantId, TenantService};
 use crate::{RouterConfig, ShardRouter};
@@ -26,14 +24,9 @@ use std::sync::Arc;
 /// [`ServeError::SnapshotRace`] to the caller.
 const SNAPSHOT_RETRIES: usize = 4;
 
-enum Kind {
-    Single(ScoringService),
-    Sharded(ShardRouter),
-}
-
-/// A running scoring front-end — a [`ScoringService`] for unsharded
-/// detector sets or a [`ShardRouter`] for sharded ones — with an
-/// optional exact-match [`VerdictCache`] in front of the scoring path.
+/// A running scoring service ([`ShardRouter`], zero or more shard
+/// pools) with an optional exact-match [`VerdictCache`] in front of
+/// the scoring path.
 ///
 /// The cached scoring path is strictly layered: cache lookups happen
 /// before submission, only the misses travel through the micro-batching
@@ -41,28 +34,18 @@ enum Kind {
 /// fresh scores in input order. On exact backends a cache hit returns
 /// the same bytes the scoring path produced earlier, so cache-on and
 /// cache-off verdicts are bit-identical (`tests/verdict_cache.rs`);
-/// every absorbed [`Frontend::append`] bumps the cache epoch, so a
-/// stale verdict is never served across a detector-state change.
+/// every [`Frontend::append`] bumps the cache epoch, so a stale
+/// verdict is never served across a detector-state change.
 pub struct Frontend {
-    kind: Kind,
+    service: ShardRouter,
     cache: Option<Arc<VerdictCache>>,
     tenants: Option<Arc<TenantService>>,
 }
 
-impl From<ScoringService> for Frontend {
-    fn from(service: ScoringService) -> Self {
-        Frontend {
-            kind: Kind::Single(service),
-            cache: None,
-            tenants: None,
-        }
-    }
-}
-
 impl From<ShardRouter> for Frontend {
-    fn from(router: ShardRouter) -> Self {
+    fn from(service: ShardRouter) -> Self {
         Frontend {
-            kind: Kind::Sharded(router),
+            service,
             cache: None,
             tenants: None,
         }
@@ -70,30 +53,20 @@ impl From<ShardRouter> for Frontend {
 }
 
 impl Frontend {
-    /// Spawns the front-end matching the detector set's shard shape:
-    /// a [`ShardRouter`] over `shards` worker pools when `shards > 1`
-    /// (one worker per shard pool), else a plain [`ScoringService`].
+    /// Spawns the service over `shards` exemplar partitions (one
+    /// worker per shard pool; `shards == 1` keeps every detector
+    /// resident and spawns no pool).
     pub fn spawn(
         pipeline: IdsPipeline,
         engine: FittedEngine,
         shards: usize,
         serve: ServeConfig,
     ) -> Result<Frontend, ServeError> {
-        if shards > 1 {
-            let config = RouterConfig {
-                shards,
-                serve,
-                shard_workers: 1,
-            };
-            Ok(ShardRouter::spawn(pipeline, engine, config)?.into())
-        } else {
-            Ok(ScoringService::spawn(pipeline, engine, serve)?.into())
-        }
+        Ok(ShardRouter::spawn(pipeline, engine, router_config(shards, serve))?.into())
     }
 
     /// [`Frontend::spawn`] with the online refit lifecycle attached
-    /// (see [`ScoringService::spawn_with_lifecycle`] /
-    /// [`ShardRouter::spawn_with_lifecycle`]).
+    /// (see [`ShardRouter::spawn_with_lifecycle`]).
     pub fn spawn_with_lifecycle(
         pipeline: IdsPipeline,
         engine: FittedEngine,
@@ -101,16 +74,8 @@ impl Frontend {
         serve: ServeConfig,
         lifecycle: LifecycleConfig,
     ) -> Result<Frontend, ServeError> {
-        if shards > 1 {
-            let config = RouterConfig {
-                shards,
-                serve,
-                shard_workers: 1,
-            };
-            Ok(ShardRouter::spawn_with_lifecycle(pipeline, engine, config, lifecycle)?.into())
-        } else {
-            Ok(ScoringService::spawn_with_lifecycle(pipeline, engine, serve, lifecycle)?.into())
-        }
+        let config = router_config(shards, serve);
+        Ok(ShardRouter::spawn_with_lifecycle(pipeline, engine, config, lifecycle)?.into())
     }
 
     /// Attaches an exact-match verdict cache holding at most
@@ -118,21 +83,18 @@ impl Frontend {
     /// [`ServeError::InvalidConfig`] (a zero-entry cache can never
     /// hit), matching the config-validation convention.
     ///
-    /// The cache's invalidation epoch *is* the front-end's
+    /// The cache's invalidation epoch *is* the service's
     /// detector-state counter ([`VerdictCache::with_shared_epoch`]):
-    /// the inner service/router bumps it on every absorbed append and
-    /// every refit swap, so cache invalidation needs no separate bump
-    /// here and cannot miss a state change.
+    /// the service bumps it on every append and every refit swap, so
+    /// cache invalidation needs no separate bump here and cannot miss
+    /// a state change.
     pub fn with_cache(mut self, capacity: usize) -> Result<Frontend, ServeError> {
         if capacity == 0 {
             return Err(ServeError::InvalidConfig(
                 "verdict cache capacity must be >= 1 (a zero-entry cache can never hit)".into(),
             ));
         }
-        let epoch = match &self.kind {
-            Kind::Single(s) => s.state_epoch_handle(),
-            Kind::Sharded(r) => r.state_epoch_handle(),
-        };
+        let epoch = self.service.state_epoch_handle();
         self.cache = Some(Arc::new(VerdictCache::with_shared_epoch(capacity, epoch)));
         Ok(self)
     }
@@ -178,24 +140,26 @@ impl Frontend {
         }
         let epoch = svc.epoch_of(tenant)?;
         let hits = cache.lookup_batch_tenant(tenant.0, lines, epoch);
-        let miss_positions: Vec<usize> = hits
-            .iter()
-            .enumerate()
-            .filter_map(|(i, h)| h.is_none().then_some(i))
-            .collect();
-        if miss_positions.is_empty() {
-            return Ok(hits.into_iter().map(|h| h.expect("all hits")).collect());
-        }
-        let miss_lines: Vec<String> = miss_positions.iter().map(|&i| lines[i].clone()).collect();
-        let miss_scores = svc.score(tenant, &miss_lines)?;
+        let pending = match split_hits(hits, lines, epoch) {
+            Submission::AllHits(verdicts) => return Ok(verdicts),
+            Submission::InFlight(pending) => pending,
+        };
+        let miss_scores = svc.score(tenant, &pending.miss_lines)?;
         let current = svc.epoch_of(tenant)?;
         cache.insert_batch_tenant(
             tenant.0,
-            miss_lines.iter().zip(miss_scores.iter().map(Vec::as_slice)),
-            epoch,
+            pending
+                .miss_lines
+                .iter()
+                .zip(miss_scores.iter().map(Vec::as_slice)),
+            pending.epoch,
             current,
         );
-        Ok(merge_verdicts(hits, &miss_positions, miss_scores))
+        Ok(merge_verdicts(
+            pending.hits,
+            &pending.miss_positions,
+            miss_scores,
+        ))
     }
 
     /// Absorbs freshly-labeled supervision into `tenant`'s partition.
@@ -215,18 +179,12 @@ impl Frontend {
     /// micro-batching queue — the baseline the cached path is measured
     /// (and parity-tested) against.
     pub fn client(&self) -> ServiceClient {
-        match &self.kind {
-            Kind::Single(s) => s.client(),
-            Kind::Sharded(r) => r.client(),
-        }
+        self.service.client()
     }
 
     /// Names (registration order) the per-line score vectors follow.
     pub fn method_names(&self) -> &[String] {
-        match &self.kind {
-            Kind::Single(s) => s.method_names(),
-            Kind::Sharded(r) => r.method_names(),
-        }
+        self.service.method_names()
     }
 
     /// Scores one arriving line through the cache (when attached) and
@@ -244,25 +202,14 @@ impl Frontend {
         let Some(cache) = &self.cache else {
             return self.client().score_batch(lines);
         };
-        if lines.is_empty() {
-            return Ok(Vec::new());
-        }
         let (hits, epoch) = cache.lookup_batch(lines);
-        let miss_positions: Vec<usize> = hits
-            .iter()
-            .enumerate()
-            .filter_map(|(i, h)| h.is_none().then_some(i))
-            .collect();
-        if miss_positions.is_empty() {
-            return Ok(hits.into_iter().map(|h| h.expect("all hits")).collect());
+        match split_hits(hits, lines, epoch) {
+            Submission::AllHits(verdicts) => Ok(verdicts),
+            Submission::InFlight(pending) => {
+                let miss_scores = self.client().score_batch(pending.miss_lines())?;
+                Ok(self.complete_cached(pending, miss_scores))
+            }
         }
-        let miss_lines: Vec<String> = miss_positions.iter().map(|&i| lines[i].clone()).collect();
-        let miss_scores = self.client().score_batch(&miss_lines)?;
-        cache.insert_batch(
-            miss_lines.iter().zip(miss_scores.iter().map(Vec::as_slice)),
-            epoch,
-        );
-        Ok(merge_verdicts(hits, &miss_positions, miss_scores))
     }
 
     /// The cache-lookup half of a net scoring request, run on the
@@ -284,22 +231,7 @@ impl Frontend {
             });
         };
         let (hits, epoch) = cache.lookup_batch(&lines);
-        let miss_positions: Vec<usize> = hits
-            .iter()
-            .enumerate()
-            .filter_map(|(i, h)| h.is_none().then_some(i))
-            .collect();
-        if miss_positions.is_empty() {
-            return Submission::AllHits(hits.into_iter().map(|h| h.expect("all hits")).collect());
-        }
-        let miss_lines: Vec<String> = miss_positions.iter().map(|&i| lines[i].clone()).collect();
-        Submission::InFlight(CachedSubmission {
-            hits,
-            miss_positions,
-            miss_lines,
-            epoch,
-            cached: true,
-        })
+        split_hits(hits, &lines, epoch)
     }
 
     /// Finishes a [`Self::prepare_scored`] round: inserts the fresh
@@ -324,60 +256,51 @@ impl Frontend {
         merge_verdicts(pending.hits, &pending.miss_positions, miss_scores)
     }
 
-    /// Absorbs freshly-labeled supervision into the resident detector
-    /// set. The inner front-end bumps the shared detector-state epoch
-    /// once the append lands, so every cached verdict computed against
-    /// the pre-append state stops hitting immediately (O(1)
-    /// invalidation through [`VerdictCache::with_shared_epoch`]).
+    /// Absorbs freshly-labeled supervision into the detector set (see
+    /// [`ShardRouter::append`]). The service bumps the shared
+    /// detector-state epoch once the append lands — or fails part-way
+    /// — so every cached verdict computed against the pre-append state
+    /// stops hitting immediately (O(1) invalidation through
+    /// [`VerdictCache::with_shared_epoch`]).
     pub fn append(&self, lines: &[String], labels: &[bool]) -> Result<usize, ServeError> {
-        match &self.kind {
-            Kind::Single(s) => s.append(lines, labels),
-            Kind::Sharded(r) => r.append(lines, labels),
-        }
+        self.service.append(lines, labels)
     }
 
     /// Runs one epoch-swapped refit now, on the caller's thread (see
-    /// [`ScoringService::refit`] / [`ShardRouter::refit`]). Returns the
-    /// engine epoch after the swap.
+    /// [`ShardRouter::refit`]). Returns the engine epoch after the
+    /// swap.
     pub fn refit(&self) -> Result<u64, ServeError> {
-        match &self.kind {
-            Kind::Single(s) => s.refit(),
-            Kind::Sharded(r) => r.refit(),
-        }
+        self.service.refit()
     }
 
     /// The resident engine's detector generation: 0 at spawn, +1 per
     /// refit swap.
     pub fn engine_epoch(&self) -> u64 {
-        match &self.kind {
-            Kind::Single(s) => s.engine_epoch(),
-            Kind::Sharded(r) => r.engine_epoch(),
-        }
+        self.service.engine_epoch()
+    }
+
+    /// The detector-state epoch: bumped on every append, refit swap
+    /// and reshard — what an attached verdict cache invalidates by.
+    pub fn state_epoch(&self) -> u64 {
+        self.service.state_epoch()
     }
 
     /// Lifecycle counters and trigger state; `None` when spawned
     /// without a lifecycle.
     pub fn lifecycle_stats(&self) -> Option<LifecycleStats> {
-        match &self.kind {
-            Kind::Single(s) => s.lifecycle_stats(),
-            Kind::Sharded(r) => r.lifecycle_stats(),
-        }
+        self.service.lifecycle_stats()
     }
 
     /// Splits the live shard set to `new_shards` without stopping the
-    /// router (see [`ShardRouter::reshard`]). Typed
-    /// [`ServeError::InvalidConfig`] on an unsharded front-end.
+    /// service (see [`ShardRouter::reshard`]). Typed
+    /// [`ServeError::InvalidConfig`] on a service spawned with
+    /// `shards == 1`.
     pub fn reshard(&self, new_shards: usize) -> Result<(), ServeError> {
-        match &self.kind {
-            Kind::Single(_) => Err(ServeError::InvalidConfig(
-                "reshard requires a sharded front-end (spawn with shards > 1)".into(),
-            )),
-            Kind::Sharded(r) => r.reshard(new_shards),
-        }
+        self.service.reshard(new_shards)
     }
 
     /// Captures the persistable detector state at one consistent epoch
-    /// (see [`ScoringService::snapshot`] / [`ShardRouter::snapshot`]).
+    /// (see [`ShardRouter::snapshot`]).
     /// Returns the snapshot plus the names of detectors that were not
     /// capturable. A capture that races an append or refit swap is
     /// retried a few times before the typed
@@ -386,11 +309,7 @@ impl Frontend {
     pub fn snapshot(&self) -> Result<(ServiceSnapshot, Vec<String>), ServeError> {
         let mut last = ServeError::Closed;
         for _ in 0..=SNAPSHOT_RETRIES {
-            let captured = match &self.kind {
-                Kind::Single(s) => s.snapshot(),
-                Kind::Sharded(r) => r.snapshot(),
-            };
-            match captured {
+            match self.service.snapshot() {
                 Err(e @ ServeError::SnapshotRace { .. }) => last = e,
                 other => return other,
             }
@@ -398,14 +317,11 @@ impl Frontend {
         Err(last)
     }
 
-    /// Monotonic counters with the verdict-cache overlay: the inner
-    /// front-end's batch/line counts plus this cache's hit/miss and
+    /// Monotonic counters with the verdict-cache overlay: the
+    /// service's batch/line counts plus this cache's hit/miss and
     /// invalidation-epoch counters (zero when no cache is attached).
     pub fn stats(&self) -> ServiceStats {
-        let mut stats = match &self.kind {
-            Kind::Single(s) => s.stats(),
-            Kind::Sharded(r) => r.stats(),
-        };
+        let mut stats = self.service.stats();
         if let Some(cache) = &self.cache {
             let c: CacheStats = cache.stats();
             stats.cache_hits = c.hits;
@@ -416,13 +332,41 @@ impl Frontend {
     }
 
     /// Stops accepting requests and joins every worker (see
-    /// [`ScoringService::shutdown`] / [`ShardRouter::shutdown`]).
+    /// [`ShardRouter::shutdown`]).
     pub fn shutdown(self) {
-        match self.kind {
-            Kind::Single(s) => s.shutdown(),
-            Kind::Sharded(r) => r.shutdown(),
-        }
+        self.service.shutdown()
     }
+}
+
+/// The shard shape [`Frontend::spawn`] asks for: one worker per pool.
+fn router_config(shards: usize, serve: ServeConfig) -> RouterConfig {
+    RouterConfig {
+        shards,
+        serve,
+        shard_workers: 1,
+    }
+}
+
+/// Splits a cache lookup over `lines` into the verdict it already
+/// completes or the misses still to score, remembering the `epoch`
+/// the lookup ran under for the later insert.
+fn split_hits(hits: Vec<Option<Vec<f32>>>, lines: &[String], epoch: u64) -> Submission {
+    let miss_positions: Vec<usize> = hits
+        .iter()
+        .enumerate()
+        .filter_map(|(i, h)| h.is_none().then_some(i))
+        .collect();
+    if miss_positions.is_empty() {
+        return Submission::AllHits(hits.into_iter().map(|h| h.expect("all hits")).collect());
+    }
+    let miss_lines: Vec<String> = miss_positions.iter().map(|&i| lines[i].clone()).collect();
+    Submission::InFlight(CachedSubmission {
+        hits,
+        miss_positions,
+        miss_lines,
+        epoch,
+        cached: true,
+    })
 }
 
 fn no_tenant_service() -> TenantError {

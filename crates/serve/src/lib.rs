@@ -6,18 +6,21 @@
 //! supervision does not arrive that way: command lines stream in
 //! continuously and each wants a verdict *now*, from a detector set
 //! that is already fitted and whose exemplar indexes are already
-//! built. This crate keeps that state resident and adds the three
-//! things the offline path never needed:
+//! built. This crate keeps that state resident in **one scoring
+//! service** ([`ShardRouter`], normally spawned through
+//! [`Frontend::spawn`]) — one request queue, one micro-batching loop,
+//! one `append`, one `refit`, one `snapshot` — that feeds zero or more
+//! shard pools, and adds the things the offline path never needed:
 //!
-//! * **Micro-batched line scoring** ([`ScoringService`]) — requests
-//!   enter a bounded channel; scoring workers coalesce arrivals within
-//!   a configurable window so the encoder's batched forward and the
-//!   index's batched queries stay hot even when every caller submits
-//!   one line. On the exact backend, streamed scores are
-//!   **bit-identical** to the one-shot batch run
-//!   (`tests/online_offline_parity.rs`) because the batched forward is
-//!   bit-identical per line regardless of batch composition.
-//! * **Live supervision absorption** ([`ScoringService::append`]) —
+//! * **Micro-batched line scoring** — requests enter a bounded
+//!   channel; batcher threads coalesce arrivals within a configurable
+//!   window so the encoder's batched forward and the index's batched
+//!   queries stay hot even when every caller submits one line. On the
+//!   exact backend, streamed scores are **bit-identical** to the
+//!   one-shot batch run (`tests/online_offline_parity.rs`) because the
+//!   batched forward is bit-identical per line regardless of batch
+//!   composition.
+//! * **Live supervision absorption** ([`Frontend::append`]) —
 //!   freshly-labeled exemplars insert into the resident neighbour
 //!   indexes through the incremental HNSW insert path instead of
 //!   forcing a rebuild.
@@ -27,13 +30,16 @@
 //!   saved graphs without re-running the O(n·ef_construction)
 //!   construction pass (asserted against
 //!   [`index::construction_passes`]).
-//! * **Shard-aware serving** ([`ShardRouter`]) — when the neighbour
-//!   detectors are fitted over a sharded index
-//!   (`IndexConfig::with_shards(n)`), the router splits them into N
+//! * **0..N shard pools** ([`RouterConfig::shards`]) — with
+//!   `shards == 1` every detector is resident and a micro-batch is
+//!   scored on the batcher thread that formed it: no pool thread, no
+//!   scatter/gather channel. With `shards == N > 1` and neighbour
+//!   detectors fitted over a sharded index
+//!   (`IndexConfig::with_shards(n)`), the same loop splits them into N
 //!   per-shard worker pools behind the same [`ServiceClient`]
 //!   protocol: each micro-batch is embedded once, scattered to every
 //!   shard, and the per-shard top-k candidates are merged back under
-//!   the exact scan's total order — bit-identical to the unsharded
+//!   the exact scan's total order — bit-identical to the pool-less
 //!   service on exact shards (`tests/shard_router_parity.rs`), with
 //!   `append` write-locking only the owning shard and snapshots framed
 //!   as a manifest + N shard frames.
@@ -51,7 +57,6 @@
 //!   micro-batching workers and connection-level pipelining so many
 //!   in-flight requests share one socket. Loopback throughput and the
 //!   cache win are measured by `benches/net_throughput.rs`.
-
 //! * **Online detector lifecycle** ([`LifecycleConfig`], epoch-swapped
 //!   refit) — the paper's unsupervised detectors assume periodically
 //!   re-fitted baselines. A lifecycle-enabled service logs every
@@ -64,8 +69,9 @@
 //!   stop-the-world refit on exact backends (`tests/lifecycle.rs`,
 //!   `benches/lifecycle.rs`), and the same state-epoch counter that
 //!   invalidates the verdict cache on appends is bumped on every swap.
-//!   The sharded tier rides along: [`ShardRouter::reshard`] splits the
-//!   live shard set without stopping the router.
+//!   A pooled service can also be reshaped live:
+//!   [`ShardRouter::reshard`] splits the shard set without stopping
+//!   the service.
 //! * **Multi-tenant serving under a memory envelope**
 //!   ([`TenantService`]) — per-tenant exemplar partitions routed to
 //!   lock groups by the seeded content-stable shard hash, with tiered
@@ -94,7 +100,7 @@ pub use front::Frontend;
 pub use lifecycle::{DriftConfig, DriftDetector, LifecycleConfig, LifecycleStats, RefitSource};
 pub use net::{NetClient, NetConfig, NetServer, DEFAULT_MAX_FRAME};
 pub use router::{RouterConfig, ShardRouter};
-pub use service::{ScoringService, ServeConfig, ServeError, ServiceClient, ServiceStats};
+pub use service::{ServeConfig, ServeError, ServiceClient, ServiceStats};
 pub use snapshot::{ServiceSnapshot, SnapshotError};
 pub use tenants::{
     TenantConfig, TenantError, TenantId, TenantMapSnapshot, TenantService, TenantStats,

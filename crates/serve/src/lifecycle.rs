@@ -19,14 +19,13 @@
 //!   identical bin occupancy and grows without bound as they separate.
 //!   No RNG anywhere: the same score sequence produces bit-identical
 //!   statistics and firing decisions (`tests/drift.rs` proptests).
-//! * [`LifecycleState`] — the shared bookkeeping a front-end
-//!   ([`crate::ScoringService`], [`crate::ShardRouter`]) threads its
-//!   scoring/append paths through: the append log, the drift tracker,
-//!   and the refit trigger flags the background worker polls.
+//! * [`LifecycleState`] — the shared bookkeeping the scoring service
+//!   ([`crate::ShardRouter`]) threads its scoring/append paths
+//!   through: the append log, the drift tracker, and the refit trigger
+//!   flags the background worker polls.
 //!
-//! The refit itself lives on the front-ends (they own the engine
-//! locks); this module only decides *when* and supplies *what to fit
-//! on*.
+//! The refit itself lives on the service (it owns the engine lock);
+//! this module only decides *when* and supplies *what to fit on*.
 
 use crate::service::ServeError;
 use std::collections::VecDeque;

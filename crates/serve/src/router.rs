@@ -1,40 +1,48 @@
-//! The shard router: the scoring front-end for partitioned exemplar
-//! sets.
+//! The scoring service: a resident fitted detector set behind a
+//! bounded request queue, with the neighbour methods' exemplars
+//! optionally partitioned across shard worker pools.
 //!
-//! A single [`ScoringService`](crate::ScoringService) keeps *one*
-//! resident `FittedEngine`: one index graph per neighbour method, one
-//! engine write lock every `append` serializes through. The router
-//! splits that along the shard axis:
+//! There is one service and one scoring loop. [`RouterConfig::shards`]
+//! decides how many pools it feeds:
 //!
-//! * **Spawn** takes an engine whose neighbour detectors were fitted
-//!   over a sharded index (`IndexConfig::with_shards(n)`), splits each
-//!   one into its N per-shard sub-detectors
-//!   ([`DetectorState::split_shards`] — saved HNSW graphs are adopted,
-//!   never rebuilt), and parks every other detector (PCA,
-//!   classification, …) in a router-resident engine.
-//! * **Scoring**: front batcher threads coalesce arrivals into
-//!   micro-batches exactly as the single service does (same queue,
-//!   same window logic, same [`ServiceClient`] protocol), embed each
-//!   batch **once** per pooled space, then *scatter* the embedded
-//!   views to every shard's worker pool. Each pool answers with its
-//!   shard's top-k candidates per line per neighbour method; the
-//!   batcher *gathers* the N answers, k-way-merges each line's
-//!   candidates under the exact scan's total order, and folds them
-//!   with the method's own scoring rule ([`ShardMerge`]). Resident
-//!   detectors score on the batcher thread while the shards work.
-//!   Over exact shards the merged verdicts are **bit-identical** to an
-//!   unsharded service (`tests/shard_router_parity.rs`).
-//! * **Append** routes each freshly-labeled exemplar to its owning
-//!   shard (same seeded content hash the index layer partitions by)
-//!   and write-locks only that shard — scoring against every other
-//!   shard proceeds untouched, which is the write-throughput point of
-//!   sharding.
-//! * **Snapshot** reassembles each partitioned method into one
-//!   manifest + N shard frames ([`ShardedDetectorState::merge`]) and
-//!   frames them as an ordinary [`ServiceSnapshot`]; a cold start
-//!   restores every shard graph with zero construction passes and
-//!   [`ShardRouter::spawn`] re-splits without rebuilding
-//!   (`tests/snapshot_cold_start.rs`).
+//! * **`shards == 1` — no pools.** Every detector, neighbour methods
+//!   included (sharded-index-fitted or not), is parked in the resident
+//!   engine. No pool thread is spawned and no scatter/gather channel is
+//!   created; a micro-batch is embedded and scored on the batcher
+//!   thread that formed it. One index graph per neighbour method, one
+//!   engine write lock every `append` serializes through.
+//! * **`shards == N > 1` — N pools.** Spawn takes an engine whose
+//!   neighbour detectors were fitted over a sharded index
+//!   (`IndexConfig::with_shards(n)`), splits each one into its N
+//!   per-shard sub-detectors ([`DetectorState::split_shards`] — saved
+//!   HNSW graphs are adopted, never rebuilt), and parks every other
+//!   detector (PCA, classification, …) in the resident engine.
+//!
+//! Either way:
+//!
+//! * **Scoring**: batcher threads coalesce arrivals into micro-batches
+//!   ([`collect_batch`]), embed each batch **once** per pooled space,
+//!   then *scatter* the embedded views to every shard's worker pool.
+//!   Each pool answers with its shard's top-k candidates per line per
+//!   neighbour method; the batcher *gathers* the N answers,
+//!   k-way-merges each line's candidates under the exact scan's total
+//!   order, and folds them with the method's own scoring rule
+//!   ([`ShardMerge`]). Resident detectors score on the batcher thread
+//!   while the shards work. Over exact shards the merged verdicts are
+//!   **bit-identical** to the pool-less service
+//!   (`tests/shard_router_parity.rs`).
+//! * **Append** hands the batch to every absorbing resident detector,
+//!   then routes each freshly-labeled exemplar of a partitioned method
+//!   to its owning shard (same seeded content hash the index layer
+//!   partitions by) and write-locks only that shard — scoring against
+//!   every other shard proceeds untouched, which is the
+//!   write-throughput point of sharding.
+//! * **Snapshot** captures resident detectors as they are and
+//!   reassembles each partitioned method into one manifest + N shard
+//!   frames ([`ShardedDetectorState::merge`]), framed as an ordinary
+//!   [`ServiceSnapshot`]; a cold start restores every graph with zero
+//!   construction passes and [`ShardRouter::spawn`] re-splits without
+//!   rebuilding (`tests/snapshot_cold_start.rs`).
 
 use crate::lifecycle::{LifecycleConfig, LifecycleState, LifecycleStats};
 use crate::service::{
@@ -43,8 +51,9 @@ use crate::service::{
 };
 use crate::snapshot::ServiceSnapshot;
 use cmdline_ids::engine::{
-    merge_shard_candidates, Detector, DetectorState, FittedEngine, IndexConfig, Quantization,
-    ShardCandidate, ShardMerge, ShardedDetectorState, ShardedParams,
+    fit_neighbour_detector, merge_shard_candidates, Detector, DetectorState, EmbeddingView,
+    FittedEngine, IndexConfig, Quantization, ShardCandidate, ShardMerge, ShardedDetectorState,
+    ShardedParams,
 };
 use cmdline_ids::pipeline::IdsPipeline;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
@@ -54,17 +63,17 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 
-use anomaly::{RetrievalDetector, RetrievalMethod, VanillaKnn, VanillaKnnMethod};
-
 /// Knobs for a [`ShardRouter`].
 #[derive(Debug, Clone, Copy)]
 pub struct RouterConfig {
-    /// Number of exemplar shards — must match the shard count the
+    /// Number of exemplar shards. `1` keeps every detector resident
+    /// and spawns no pool; above `1` it must match the shard count the
     /// neighbour detectors were fitted with
     /// (`IndexConfig::with_shards`).
     pub shards: usize,
     /// Front-end queue and micro-batching knobs; `serve.workers` is
-    /// the number of batcher threads forming and merging micro-batches.
+    /// the number of batcher threads forming, scoring and merging
+    /// micro-batches.
     pub serve: ServeConfig,
     /// Worker threads per shard pool draining that shard's scatter
     /// queue.
@@ -82,7 +91,7 @@ impl Default for RouterConfig {
 }
 
 impl RouterConfig {
-    /// A router over `shards` partitions with default serve knobs.
+    /// A service over `shards` partitions with default serve knobs.
     pub fn with_shards(shards: usize) -> Self {
         RouterConfig {
             shards,
@@ -110,14 +119,14 @@ impl RouterConfig {
 
 /// One entry of the verdict-assembly plan, in registration order.
 enum Slot {
-    /// Index into the router-resident engine's detectors.
+    /// Index into the resident engine's detectors.
     Resident(usize),
     /// Index into the sharded-method metas.
     Sharded(usize),
 }
 
-/// Everything the router knows about one partitioned method beyond its
-/// per-shard detectors.
+/// Everything the service knows about one partitioned method beyond
+/// its per-shard detectors.
 struct ShardedMethodMeta {
     /// Registration name (also the restored method's name).
     name: &'static str,
@@ -176,17 +185,18 @@ struct ShardPool {
 
 struct RouterInner {
     pipeline: IdsPipeline,
-    /// Detectors that are not exemplar-partitioned (unsupervised
-    /// methods, classification probes) — scored on the batcher thread
-    /// while the shards work. Refits swap epochs in here, exactly as
-    /// the single service does.
+    /// Detectors that are not exemplar-partitioned — all of them when
+    /// `shards == 1`, else the unsupervised methods and classification
+    /// probes — scored on the batcher thread while the shards work.
+    /// Refits swap epochs in here.
     resident: RwLock<FittedEngine>,
     metas: Vec<ShardedMethodMeta>,
     plan: Vec<Slot>,
-    /// The live shard pools, swapped wholesale by
-    /// [`ShardRouter::reshard`]. Scoring snapshots the `Arc` once per
-    /// micro-batch, so a batch scattered to the old partition gathers
-    /// from the old partition even while the swap lands.
+    /// The live shard pools (empty when `shards == 1`), swapped
+    /// wholesale by [`ShardRouter::reshard`]. Scoring snapshots the
+    /// `Arc` once per micro-batch, so a batch scattered to the old
+    /// partition gathers from the old partition even while the swap
+    /// lands.
     pools: RwLock<Arc<Vec<ShardPool>>>,
     /// The *current* shard count — `metas[..].params.shards` keeps the
     /// fit-time value (the partitioner seed and backend never change).
@@ -197,9 +207,13 @@ struct RouterInner {
     /// per-method global ids stay dense and per-shard maps stay
     /// ascending; scoring readers are never blocked by this lock.
     append_lock: Mutex<()>,
-    /// Bumped after every absorbed append, refit swap, and reshard —
-    /// the shared cache-invalidation / snapshot-race counter.
+    /// The detector-state epoch: bumped after every append, refit swap
+    /// and reshard. Shared with an attached [`crate::VerdictCache`] so
+    /// one counter invalidates cached verdicts across every kind of
+    /// state change, and checked by snapshot captures to detect a swap
+    /// that landed mid-capture.
     state_epoch: Arc<AtomicU64>,
+    /// The online refit lifecycle, when configured at spawn.
     lifecycle: Option<LifecycleState>,
     /// Knobs + shared stop flag for building replacement pools
     /// mid-flight (reshard).
@@ -207,8 +221,9 @@ struct RouterInner {
     pool_queue_bound: usize,
     pool_specs: Arc<Vec<ViewSpec>>,
     stop_pools: Arc<AtomicBool>,
-    /// Workers spawned for resharded pools; joined at shutdown.
-    extra_workers: Mutex<Vec<JoinHandle<()>>>,
+    /// Every pool worker ever spawned (at spawn and for resharded pool
+    /// sets); joined at shutdown.
+    pool_workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl RouterInner {
@@ -217,27 +232,82 @@ impl RouterInner {
         self.pools.read().unwrap().clone()
     }
 
-    /// A method's partition shape at the *current* shard count.
-    fn current_params(&self, meta: &ShardedMethodMeta) -> ShardedParams {
-        ShardedParams {
-            shards: self.shards.load(Ordering::Acquire),
-            ..meta.params
-        }
+    /// The view specs of the resident detectors `reads` selects.
+    fn resident_specs(&self, reads: impl Fn(&dyn Detector) -> bool) -> Vec<ViewSpec> {
+        let engine = self.resident.read().unwrap();
+        engine
+            .detectors()
+            .iter()
+            .filter(|d| reads(d.as_ref()))
+            .map(|d| (d.wants_embeddings(), d.pooling()))
+            .collect()
     }
 
-    /// Runs one refit over the resident engine: fit fresh templates of
-    /// every refittable detector on baseline ∪ append-log, then swap
-    /// them in under one brief write lock (the shard pools never hold
-    /// refittable detectors — neighbour methods absorb appends
-    /// directly). Mirrors the single service's refit path.
+    /// Embeds `lines` once per pooled space that the given resident
+    /// consumers or any partitioned method reads.
+    fn embed(&self, lines: &[String], resident_specs: &[ViewSpec]) -> PooledViews {
+        let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
+        let specs = resident_specs
+            .iter()
+            .copied()
+            .chain(self.metas.iter().map(|m| m.spec));
+        PooledViews::build_specs(&self.pipeline, specs, &refs)
+    }
+
+    /// Reassembles partitioned method `m` from the live per-shard
+    /// detectors into one manifest + N shard frames
+    /// ([`ShardedDetectorState::merge`]); also returns its exemplar
+    /// count. The caller holds the append lock.
+    fn merged_state(&self, pools: &[ShardPool], m: usize) -> (DetectorState, usize) {
+        let meta = &self.metas[m];
+        let (states, globals): (Vec<_>, Vec<Vec<usize>>) = pools
+            .iter()
+            .map(|pool| match &pool.state.read().unwrap().methods[m] {
+                Some(slot) => (
+                    Some(
+                        DetectorState::capture(slot.det.as_ref())
+                            .expect("neighbour sub-detectors are capturable"),
+                    ),
+                    slot.globals.clone(),
+                ),
+                None => (None, Vec::new()),
+            })
+            .unzip();
+        let total = globals.iter().map(Vec::len).sum();
+        let merged = ShardedDetectorState {
+            name: meta.name,
+            k: meta.k,
+            params: ShardedParams {
+                shards: self.shards.load(Ordering::Acquire),
+                ..meta.params
+            },
+            quant: meta.quant,
+            dim: meta.dim,
+            states,
+            globals,
+        }
+        .merge();
+        (merged, total)
+    }
+
+    /// Runs one refit: fit fresh templates of every refittable
+    /// detector on baseline ∪ append-log, then swap them in under one
+    /// brief engine write lock. Batchers keep serving the old epoch
+    /// for the whole (expensive) embed + fit; only the swap itself
+    /// excludes them. The shard pools never hold refittable detectors
+    /// — neighbour methods absorb appends directly. Returns the engine
+    /// epoch after the swap.
     fn run_refit(&self) -> Result<u64, ServeError> {
         let lc = self.lifecycle.as_ref().ok_or_else(|| {
             ServeError::InvalidConfig(
-                "refit requires a lifecycle (spawn with ShardRouter::spawn_with_lifecycle)".into(),
+                "refit requires a lifecycle (spawn with spawn_with_lifecycle)".into(),
             )
         })?;
+        // One refit at a time; a second trigger waits and then refits
+        // over the longer log, which is never wrong, just newer.
         let _serialized = lc.refit_lock.lock().unwrap();
         let (lines, labels, prefix) = lc.take_training();
+        // Collect templates (cheap, unfitted) under a brief read lock.
         let templates: Vec<(usize, Box<dyn Detector>)> = {
             let engine = self.resident.read().unwrap();
             engine
@@ -248,9 +318,16 @@ impl RouterInner {
                 .collect()
         };
         if templates.is_empty() {
+            // Nothing is refittable; still consume the trigger so a
+            // background worker does not spin on a permanently-armed
+            // trigger.
             lc.finish_refit(prefix);
             return Ok(self.resident.read().unwrap().epoch());
         }
+        // Embed + fit entirely off-lock: per-line embeddings are
+        // bit-identical regardless of batch composition and the
+        // templates carry their seeds, so this reproduces exactly what
+        // a stop-the-world refit over the same history would build.
         let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
         let views = PooledViews::build_specs(
             &self.pipeline,
@@ -270,39 +347,134 @@ impl RouterInner {
             }
             fitted.push((i, template));
         }
+        // The atomic swap: in-flight micro-batches (engine readers)
+        // finish on the old epoch first, then every later batch scores
+        // on the new one.
         let epoch = {
             let mut engine = self.resident.write().unwrap();
             engine.install_refits(fitted)
         };
+        // State epoch strictly after the swap: a verdict-cache insert
+        // that looked up pre-swap observes the bump and drops itself,
+        // same discipline as appends.
         self.state_epoch.fetch_add(1, Ordering::AcqRel);
         lc.finish_refit(prefix);
         Ok(epoch)
     }
+
+    /// The mutation half of [`ShardRouter::append`], run under the
+    /// append lock: resident detectors first, then each partitioned
+    /// method's rows to their owning shards.
+    fn absorb(
+        &self,
+        views: &PooledViews,
+        labels: &[bool],
+        resident_absorbs: bool,
+    ) -> Result<usize, ServeError> {
+        let pools = self.pools();
+        let mut absorbed = 0usize;
+        if resident_absorbs {
+            let mut engine = self.resident.write().unwrap();
+            absorbed += engine.append_each(labels, |det| views.for_detector(det))?;
+        }
+        for (m, meta) in self.metas.iter().enumerate() {
+            let view = views.view_for(meta.spec);
+            let matrix = view.matrix();
+            // Route each row the method indexes to its owning shard,
+            // assigning global ids in batch order — exactly the dense
+            // numbering the unsharded detector would produce.
+            let shards = self.shards.load(Ordering::Acquire);
+            let mut rows: Vec<Vec<usize>> = vec![Vec::new(); shards];
+            let mut ids: Vec<Vec<usize>> = vec![Vec::new(); shards];
+            {
+                let mut next = meta.next_global.lock().unwrap();
+                for (r, &label) in labels.iter().enumerate() {
+                    if meta.malicious_only && !label {
+                        continue;
+                    }
+                    let s = shard_for_row(meta.params.seed, shards, matrix.row(r));
+                    rows[s].push(r);
+                    ids[s].push(*next);
+                    *next += 1;
+                }
+            }
+            for (s, pool) in pools.iter().enumerate() {
+                if rows[s].is_empty() {
+                    continue;
+                }
+                let mut sub = Matrix::zeros(0, meta.dim);
+                let mut sub_labels = Vec::with_capacity(rows[s].len());
+                for &r in &rows[s] {
+                    sub.push_row(matrix.row(r));
+                    sub_labels.push(labels[r]);
+                }
+                let mut state = pool.state.write().unwrap();
+                match &mut state.methods[m] {
+                    Some(slot) => {
+                        slot.det
+                            .append(&EmbeddingView::from_matrix(sub), &sub_labels)
+                            .map_err(|e| ServeError::Engine(e.to_string()))?;
+                        slot.globals.extend_from_slice(&ids[s]);
+                    }
+                    empty @ None => {
+                        // First rows for this shard: build its
+                        // sub-index from scratch (an O(rows) build —
+                        // the only construction an append ever runs,
+                        // and only for a shard that had nothing).
+                        let config = meta.params.backend.config().with_quant(meta.quant);
+                        *empty = Some(ShardSlot {
+                            det: fit_neighbour_detector(
+                                meta.name,
+                                &sub,
+                                &sub_labels,
+                                meta.k,
+                                config,
+                            ),
+                            globals: ids[s].clone(),
+                        });
+                    }
+                }
+            }
+            absorbed += 1;
+        }
+        Ok(absorbed)
+    }
 }
 
-/// A running shard router. Construct with [`ShardRouter::spawn`]; see
-/// the module docs for the shape.
+/// A running scoring service. Construct with [`ShardRouter::spawn`]
+/// (or through [`crate::Frontend::spawn`], which adds the verdict
+/// cache and tenant map); see the module docs for the shape.
 pub struct ShardRouter {
     inner: Arc<RouterInner>,
     client: ServiceClient,
+    /// Kept to drain (and thereby reject) requests that were already
+    /// queued when shutdown fired.
     drain_rx: Receiver<Request>,
+    /// Batcher (and refit worker) exit flag. Deliberately separate
+    /// from the producer-side close gate: workers must NEVER touch
+    /// that `RwLock`, because a producer can hold its read half while
+    /// blocked in a full-queue `send` that only a *draining worker*
+    /// can unblock — a worker queuing behind shutdown's waiting
+    /// `write()` (std `RwLock` blocks new readers then) would deadlock
+    /// all three parties.
     stop_batchers: Arc<AtomicBool>,
     batchers: Vec<JoinHandle<()>>,
-    pool_workers: Vec<JoinHandle<()>>,
 }
 
 impl ShardRouter {
-    /// Splits a fitted engine across `config.shards` worker pools and
-    /// spawns the scoring front-end.
+    /// Spawns the scoring service around a fitted detector set and the
+    /// frozen pipeline that embeds arriving lines, splitting the
+    /// neighbour detectors across `config.shards` worker pools when
+    /// `config.shards > 1`.
     ///
     /// # Errors
     ///
     /// * [`ServeError::StreamStructured`] — a detector cannot serve
-    ///   per-line verdicts.
-    /// * [`ServeError::InvalidConfig`] — bad knobs, or a neighbour
-    ///   detector whose fitted index is not sharded `config.shards`
-    ///   ways (fit with `IndexConfig::with_shards(n)`, or restore a
-    ///   sharded snapshot).
+    ///   per-line verdicts (e.g. multiline).
+    /// * [`ServeError::InvalidConfig`] — bad knobs, or (`shards > 1`)
+    ///   a neighbour detector whose fitted index is not sharded
+    ///   `config.shards` ways (fit with `IndexConfig::with_shards(n)`,
+    ///   or restore a sharded snapshot).
     pub fn spawn(
         pipeline: IdsPipeline,
         engine: FittedEngine,
@@ -312,11 +484,13 @@ impl ShardRouter {
     }
 
     /// [`ShardRouter::spawn`] with the online refit lifecycle attached:
-    /// appends are logged, merged verdicts feed the drift tracker, and
+    /// appends are logged, served verdicts feed the drift tracker, and
     /// — in background mode — a refit worker re-fits the resident
-    /// unsupervised detectors and swaps the new epoch in whenever a
-    /// trigger fires (the per-shard neighbour detectors absorb appends
-    /// directly and are never refit).
+    /// unsupervised detectors off the accumulated stream and swaps the
+    /// new epoch in whenever a trigger fires (neighbour detectors
+    /// absorb appends directly and are never refit). Manual mode
+    /// ([`LifecycleConfig::manual`]) arms the triggers but leaves
+    /// running [`ShardRouter::refit`] to the caller.
     pub fn spawn_with_lifecycle(
         pipeline: IdsPipeline,
         engine: FittedEngine,
@@ -340,14 +514,16 @@ impl ShardRouter {
         }
         let method_names: Vec<String> = engine.method_names().iter().map(|&n| n.into()).collect();
 
+        // One shard is no partition: nothing is split, no pool exists.
+        let n_pools = if config.shards > 1 { config.shards } else { 0 };
         let mut resident: Vec<Box<dyn Detector>> = Vec::new();
         let mut metas: Vec<ShardedMethodMeta> = Vec::new();
         let mut plan: Vec<Slot> = Vec::new();
         let mut shard_methods: Vec<Vec<Option<ShardSlot>>> =
-            (0..config.shards).map(|_| Vec::new()).collect();
+            (0..n_pools).map(|_| Vec::new()).collect();
 
         for det in engine.into_detectors() {
-            let Some(merge) = det.shard_merge() else {
+            let Some(merge) = det.shard_merge().filter(|_| n_pools > 0) else {
                 plan.push(Slot::Resident(resident.len()));
                 resident.push(det);
                 continue;
@@ -370,17 +546,6 @@ impl ShardRouter {
                     config.shards
                 )));
             }
-            let total: usize = split.globals.iter().map(Vec::len).sum();
-            for ((methods, sub), map) in shard_methods
-                .iter_mut()
-                .zip(split.states)
-                .zip(split.globals)
-            {
-                methods.push(sub.map(|s| ShardSlot {
-                    det: s.restore(),
-                    globals: map,
-                }));
-            }
             plan.push(Slot::Sharded(metas.len()));
             metas.push(ShardedMethodMeta {
                 name: split.name,
@@ -391,8 +556,9 @@ impl ShardRouter {
                 quant: split.quant,
                 dim: split.dim,
                 malicious_only: !det.indexes_label(false),
-                next_global: Mutex::new(total),
+                next_global: Mutex::new(split.globals.iter().map(Vec::len).sum()),
             });
+            distribute(split, &mut shard_methods);
         }
 
         let stop_pools = Arc::new(AtomicBool::new(false));
@@ -427,7 +593,7 @@ impl ShardRouter {
             pool_queue_bound,
             pool_specs,
             stop_pools,
-            extra_workers: Mutex::new(Vec::new()),
+            pool_workers: Mutex::new(pool_workers),
         });
         let (tx, rx) = bounded::<Request>(config.serve.queue_capacity);
         let gate: Arc<CloseGate> = Arc::new(RwLock::new(false));
@@ -447,7 +613,7 @@ impl ShardRouter {
         {
             let inner = inner.clone();
             let stop = stop_batchers.clone();
-            batchers.push(std::thread::spawn(move || router_refit_loop(&inner, &stop)));
+            batchers.push(std::thread::spawn(move || refit_loop(&inner, &stop)));
         }
         Ok(ShardRouter {
             inner,
@@ -455,12 +621,10 @@ impl ShardRouter {
             drain_rx: rx,
             stop_batchers,
             batchers,
-            pool_workers,
         })
     }
 
-    /// A cloneable submission handle (same protocol as the single
-    /// service's).
+    /// A cloneable submission handle for producer threads.
     pub fn client(&self) -> ServiceClient {
         self.client.clone()
     }
@@ -471,7 +635,8 @@ impl ShardRouter {
     }
 
     /// Scores one arriving line with every method (resident and
-    /// shard-merged), blocking until the verdict is ready.
+    /// shard-merged), blocking until the verdict is ready (the line
+    /// may share its micro-batch with concurrent arrivals).
     pub fn score_line(&self, line: &str) -> Result<Vec<f32>, ServeError> {
         self.client.score_line(line)
     }
@@ -507,22 +672,26 @@ impl ShardRouter {
         )
     }
 
-    /// Runs one epoch-swapped refit of the resident engine now, on the
-    /// caller's thread (see [`crate::ScoringService::refit`] — the
-    /// per-shard neighbour detectors absorb appends directly and are
-    /// never refit). Returns the resident engine epoch after the swap.
+    /// Runs one refit now, on the caller's thread: fits fresh
+    /// templates of every refittable resident detector on baseline ∪
+    /// append-log and swaps them in atomically (see
+    /// [`FittedEngine::install_refits`]). In-flight micro-batches
+    /// finish on the old epoch; no line is dropped or double-scored
+    /// across the swap. Returns the engine epoch after the swap.
+    /// Requires a lifecycle ([`ShardRouter::spawn_with_lifecycle`]).
     pub fn refit(&self) -> Result<u64, ServeError> {
         self.inner.run_refit()
     }
 
-    /// The resident engine's detector generation: 0 at spawn, +1 per
-    /// refit swap.
+    /// The resident engine's detector generation (see
+    /// [`FittedEngine::epoch`]): 0 at spawn, +1 per refit swap.
     pub fn engine_epoch(&self) -> u64 {
         self.inner.resident.read().unwrap().epoch()
     }
 
-    /// The detector-state epoch: bumped on every absorbed append,
-    /// refit swap, and reshard.
+    /// The detector-state epoch: bumped on every append, refit swap,
+    /// and reshard — the counter an attached verdict cache invalidates
+    /// by.
     pub fn state_epoch(&self) -> u64 {
         self.inner.state_epoch.load(Ordering::Acquire)
     }
@@ -546,10 +715,17 @@ impl ShardRouter {
     }
 
     /// Absorbs freshly-labeled supervision: lines are embedded once
-    /// per pooled space, then each exemplar is routed to its owning
-    /// shard (the partitioner hash) and inserted under **that shard's
-    /// write lock only** — scoring against the other shards never
-    /// stalls. Returns how many methods absorbed the batch.
+    /// per pooled space, every absorbing resident detector gets
+    /// [`Detector::append`] (neighbour methods insert into their live
+    /// index — the incremental HNSW path — others keep their fitted
+    /// state), and each exemplar of a partitioned method is routed to
+    /// its owning shard (the partitioner hash) and inserted under
+    /// **that shard's write lock only** — scoring against the other
+    /// shards never stalls. Returns how many methods absorbed the
+    /// batch.
+    ///
+    /// Runs on the caller's thread; batchers keep serving the old
+    /// state until the brief write locks at the end.
     pub fn append(&self, lines: &[String], labels: &[bool]) -> Result<usize, ServeError> {
         if lines.len() != labels.len() {
             return Err(ServeError::Engine(format!(
@@ -561,110 +737,37 @@ impl ShardRouter {
         if lines.is_empty() {
             return Ok(0);
         }
-        let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
         let inner = &*self.inner;
-        // Embed before taking any lock: one pass per pooled space an
-        // absorbing consumer reads.
-        let resident_specs: Vec<ViewSpec> = {
-            let engine = inner.resident.read().unwrap();
-            engine
-                .detectors()
-                .iter()
-                .filter(|d| d.absorbs_appends())
-                .map(|d| (d.wants_embeddings(), d.pooling()))
-                .collect()
+        // Embed before taking any lock, and only for the pooled spaces
+        // an absorbing consumer reads; the write locks below are then
+        // just the index inserts.
+        let resident_specs = inner.resident_specs(|d| d.absorbs_appends());
+        let views = inner.embed(lines, &resident_specs);
+        let absorbed = {
+            // Appends serialize with each other (dense id assignment,
+            // and per-shard maps must extend in id order) and with
+            // reshards (shard ownership must not move mid-batch);
+            // readers don't take this lock.
+            let _guard = inner.append_lock.lock().unwrap();
+            inner.absorb(&views, labels, !resident_specs.is_empty())
         };
-        let specs = resident_specs
-            .iter()
-            .copied()
-            .chain(inner.metas.iter().map(|m| m.spec));
-        let views = PooledViews::build_specs(&inner.pipeline, specs, &refs);
-
-        // Appends serialize with each other (dense id assignment, and
-        // per-shard maps must extend in id order) and with reshards
-        // (shard ownership must not move mid-batch); readers don't
-        // take this lock.
-        let _guard = inner.append_lock.lock().unwrap();
-        let pools = inner.pools();
-        let mut absorbed = 0usize;
-        if !resident_specs.is_empty() {
-            let mut engine = inner.resident.write().unwrap();
-            absorbed += engine
-                .append_each(labels, |det| views.for_detector(det))
-                .map_err(|e| ServeError::Engine(e.to_string()))?;
-        }
-        for (m, meta) in inner.metas.iter().enumerate() {
-            let view = views.view_for(meta.spec);
-            let matrix = view.matrix();
-            // Route each row the method indexes to its owning shard,
-            // assigning global ids in batch order — exactly the dense
-            // numbering the unsharded detector would produce.
-            let shards = inner.shards.load(Ordering::Acquire);
-            let mut rows: Vec<Vec<usize>> = vec![Vec::new(); shards];
-            let mut ids: Vec<Vec<usize>> = vec![Vec::new(); shards];
-            {
-                let mut next = meta.next_global.lock().unwrap();
-                for (r, &label) in labels.iter().enumerate() {
-                    if meta.malicious_only && !label {
-                        continue;
-                    }
-                    let s = shard_for_row(meta.params.seed, shards, matrix.row(r));
-                    rows[s].push(r);
-                    ids[s].push(*next);
-                    *next += 1;
-                }
-            }
-            for (s, pool) in pools.iter().enumerate() {
-                if rows[s].is_empty() {
-                    continue;
-                }
-                let mut sub = Matrix::zeros(0, meta.dim);
-                let mut sub_labels = Vec::with_capacity(rows[s].len());
-                for &r in &rows[s] {
-                    sub.push_row(matrix.row(r));
-                    sub_labels.push(labels[r]);
-                }
-                let mut state = pool.state.write().unwrap();
-                match &mut state.methods[m] {
-                    Some(slot) => {
-                        let sub_view = cmdline_ids::engine::EmbeddingView::from_matrix(sub);
-                        slot.det
-                            .append(&sub_view, &sub_labels)
-                            .map_err(|e| ServeError::Engine(e.to_string()))?;
-                        slot.globals.extend_from_slice(&ids[s]);
-                    }
-                    empty @ None => {
-                        // First rows for this shard: build its
-                        // sub-index from scratch (an O(rows) build —
-                        // the only construction a router ever runs,
-                        // and only for a shard that had nothing).
-                        let det = new_shard_detector(meta, &sub, &sub_labels);
-                        *empty = Some(ShardSlot {
-                            det,
-                            globals: ids[s].clone(),
-                        });
-                    }
-                }
-            }
-            absorbed += 1;
-        }
-        drop(pools);
-        drop(_guard);
-        // State changed: bump the shared epoch and log the batch for
-        // the next refit's training set (same discipline as the single
-        // service).
+        // Bump the shared epoch (cache invalidation, snapshot race
+        // detection) strictly after the write locks released — and on
+        // failure too: an `Err` from the second detector leaves the
+        // first one's inserts in place, so state may have changed.
         inner.state_epoch.fetch_add(1, Ordering::AcqRel);
+        let absorbed = absorbed?;
+        // Log the batch for the next refit's training set.
         if let Some(lc) = &inner.lifecycle {
             lc.record_appends(lines, labels);
         }
         Ok(absorbed)
     }
 
-    /// Reassembles the persistable state: every partitioned method
-    /// merges back into one manifest + N shard frames
-    /// ([`ShardedDetectorState::merge`]); resident snapshot-capable
-    /// detectors capture as usual. Returns the snapshot plus the names
-    /// of detectors that were not capturable.
+    /// Captures the persistable state: resident snapshot-capable
+    /// detectors capture as they are, every partitioned method merges
+    /// back into one manifest + N shard frames. Returns the snapshot
+    /// plus the names of detectors that were not capturable.
     ///
     /// The whole capture runs at a single consistent epoch: appends
     /// and reshards are excluded by the append lock, every resident
@@ -693,39 +796,7 @@ impl ShardRouter {
                         None => skipped.push(det.name().to_string()),
                     }
                 }
-                Slot::Sharded(m) => {
-                    let meta = &inner.metas[*m];
-                    let mut sub_states = Vec::with_capacity(pools.len());
-                    let mut globals = Vec::with_capacity(pools.len());
-                    for pool in pools.iter() {
-                        let state = pool.state.read().unwrap();
-                        match &state.methods[*m] {
-                            Some(slot) => {
-                                sub_states.push(Some(
-                                    DetectorState::capture(slot.det.as_ref())
-                                        .expect("neighbour sub-detectors are capturable"),
-                                ));
-                                globals.push(slot.globals.clone());
-                            }
-                            None => {
-                                sub_states.push(None);
-                                globals.push(Vec::new());
-                            }
-                        }
-                    }
-                    states.push(
-                        ShardedDetectorState {
-                            name: meta.name,
-                            k: meta.k,
-                            params: inner.current_params(meta),
-                            quant: meta.quant,
-                            dim: meta.dim,
-                            states: sub_states,
-                            globals,
-                        }
-                        .merge(),
-                    );
-                }
+                Slot::Sharded(m) => states.push(inner.merged_state(&pools, *m).0),
             }
         }
         drop(engine);
@@ -737,10 +808,12 @@ impl ShardRouter {
     }
 
     /// Splits (or merges) the live shard set to `new_shards` without
-    /// stopping the router. Appends are excluded for the duration;
+    /// stopping the service. Appends are excluded for the duration;
     /// scoring continues on the old partition throughout and switches
     /// to the new one atomically — a micro-batch gathers from whichever
-    /// pool set it was scattered to, never a mix.
+    /// pool set it was scattered to, never a mix. A service spawned
+    /// with `shards == 1` has no partition to reshape and answers with
+    /// a typed [`ServeError::InvalidConfig`].
     ///
     /// Every partitioned method is reassembled
     /// ([`ShardedDetectorState::merge`]), its exemplar rows decoded in
@@ -750,103 +823,60 @@ impl ShardRouter {
     /// the split (partition-invariance, `tests/shard_router_parity.rs`),
     /// and global exemplar ids are preserved exactly.
     pub fn reshard(&self, new_shards: usize) -> Result<(), ServeError> {
+        let inner = &*self.inner;
+        // Excludes appends (ownership must not move mid-batch) and
+        // other reshards; scoring readers never take this lock.
+        let _guard = inner.append_lock.lock().unwrap();
+        let pools = inner.pools();
+        if pools.is_empty() {
+            return Err(ServeError::InvalidConfig(
+                "reshard requires a sharded front-end (spawn with shards > 1)".into(),
+            ));
+        }
         if new_shards == 0 {
             return Err(ServeError::InvalidConfig(
                 "shards must be >= 1 (no partition would own any exemplar)".into(),
             ));
         }
-        let inner = &*self.inner;
-        // Excludes appends (ownership must not move mid-batch) and
-        // other reshards; scoring readers never take this lock.
-        let _guard = inner.append_lock.lock().unwrap();
-        let old_shards = inner.shards.load(Ordering::Acquire);
-        if new_shards == old_shards {
+        if new_shards == inner.shards.load(Ordering::Acquire) {
             return Ok(());
         }
-        let pools = inner.pools();
         let mut new_methods: Vec<Vec<Option<ShardSlot>>> = (0..new_shards)
             .map(|_| Vec::with_capacity(inner.metas.len()))
             .collect();
         for (m, meta) in inner.metas.iter().enumerate() {
-            let mut sub_states = Vec::with_capacity(pools.len());
-            let mut globals = Vec::with_capacity(pools.len());
-            for pool in pools.iter() {
-                let state = pool.state.read().unwrap();
-                match &state.methods[m] {
-                    Some(slot) => {
-                        sub_states.push(Some(
-                            DetectorState::capture(slot.det.as_ref())
-                                .expect("neighbour sub-detectors are capturable"),
-                        ));
-                        globals.push(slot.globals.clone());
-                    }
-                    None => {
-                        sub_states.push(None);
-                        globals.push(Vec::new());
-                    }
-                }
-            }
-            let total: usize = globals.iter().map(Vec::len).sum();
+            let (merged, total) = inner.merged_state(&pools, m);
             if total == 0 {
                 for methods in &mut new_methods {
                     methods.push(None);
                 }
                 continue;
             }
-            let merged = ShardedDetectorState {
-                name: meta.name,
-                k: meta.k,
-                params: ShardedParams {
-                    shards: old_shards,
-                    ..meta.params
-                },
-                quant: meta.quant,
-                dim: meta.dim,
-                states: sub_states,
-                globals,
-            }
-            .merge();
             let (rows, labels) = global_rows(&merged, meta.dim, total);
             let config = IndexConfig::sharded(ShardedParams {
                 shards: new_shards,
                 ..meta.params
             })
             .with_quant(meta.quant);
-            let refit: Box<dyn Detector> = match meta.name {
-                "vanilla-knn" => Box::new(VanillaKnnMethod::from_fitted(VanillaKnn::fit_with(
-                    &rows, &labels, meta.k, config, None,
-                ))),
-                _ => Box::new(RetrievalMethod::from_fitted(RetrievalDetector::fit_with(
-                    &rows, &labels, meta.k, config, None,
-                ))),
-            };
+            let refit = fit_neighbour_detector(meta.name, &rows, &labels, meta.k, config);
             let split = DetectorState::capture(refit.as_ref())
                 .expect("freshly fitted neighbour detectors are capturable")
                 .split_shards()
                 .expect("just fitted over a sharded index");
-            for ((methods, sub), map) in new_methods.iter_mut().zip(split.states).zip(split.globals)
-            {
-                methods.push(sub.map(|s| ShardSlot {
-                    det: s.restore(),
-                    globals: map,
-                }));
-            }
+            distribute(split, &mut new_methods);
         }
         // Spawn the replacement pools and swap them in. Old pool
         // workers drain their in-flight scatters, then exit when the
         // last Arc to the old pool set (and with it the job senders)
         // drops; their handles are joined at shutdown.
-        let new_pools = {
-            let mut extra = inner.extra_workers.lock().unwrap();
-            spawn_pools(
-                new_methods,
-                inner.shard_workers,
-                inner.pool_queue_bound,
-                &inner.pool_specs,
-                &inner.stop_pools,
-                &mut extra,
-            )
-        };
+        let new_pools = spawn_pools(
+            new_methods,
+            inner.shard_workers,
+            inner.pool_queue_bound,
+            &inner.pool_specs,
+            &inner.stop_pools,
+            &mut inner.pool_workers.lock().unwrap(),
+        );
         *inner.pools.write().unwrap() = Arc::new(new_pools);
         inner.shards.store(new_shards, Ordering::Release);
         // The partition changed shape: treat it as a detector-state
@@ -857,35 +887,44 @@ impl ShardRouter {
     }
 
     /// Stops accepting requests, finishes in-flight micro-batches, and
-    /// joins every batcher and shard worker. Queued-but-unscored
-    /// requests observe [`ServeError::Closed`]. Dropping the router
-    /// does the same.
+    /// joins every batcher and shard worker; requests still queued
+    /// (and any caller blocked on them) observe [`ServeError::Closed`].
+    /// Dropping the service does the same. Outstanding
+    /// [`ServiceClient`] clones stay safe to call — they just get
+    /// `Closed` back.
     pub fn shutdown(mut self) {
         self.shutdown_in_place();
     }
 
     fn shutdown_in_place(&mut self) {
         {
+            // The write lock waits out in-flight submissions, then the
+            // flag turns every later one away at the gate. Batchers
+            // are still running here — a submission blocked on a full
+            // queue needs them draining before it releases its read
+            // half of the gate.
             let mut closed = self.client.close_gate().write().unwrap();
             if *closed {
                 return;
             }
             *closed = true;
         }
-        // Batchers first (their in-flight batches still need the shard
-        // pools), pools second — including any workers spawned for
-        // resharded pool sets.
+        // No new request can enter now; tell the batchers to exit once
+        // the queue runs dry and they hit their idle poll. Batchers
+        // first (their in-flight batches still need the shard pools),
+        // pools second — including any workers spawned for resharded
+        // pool sets.
         self.stop_batchers.store(true, Ordering::Release);
         for handle in self.batchers.drain(..) {
             let _ = handle.join();
         }
         self.inner.stop_pools.store(true, Ordering::Release);
-        for handle in self.pool_workers.drain(..) {
+        for handle in self.inner.pool_workers.lock().unwrap().drain(..) {
             let _ = handle.join();
         }
-        for handle in self.inner.extra_workers.lock().unwrap().drain(..) {
-            let _ = handle.join();
-        }
+        // Reject what the batchers left behind: dropping a request
+        // drops its reply sender, which surfaces as `Closed` at the
+        // blocked caller.
         while self.drain_rx.try_recv().is_ok() {}
     }
 }
@@ -893,6 +932,21 @@ impl ShardRouter {
 impl Drop for ShardRouter {
     fn drop(&mut self) {
         self.shutdown_in_place();
+    }
+}
+
+/// Hands each shard its sub-detector (and local→global id map) of one
+/// split method; saved graphs are adopted, never rebuilt.
+fn distribute(split: ShardedDetectorState, shard_methods: &mut [Vec<Option<ShardSlot>>]) {
+    for ((methods, sub), map) in shard_methods
+        .iter_mut()
+        .zip(split.states)
+        .zip(split.globals)
+    {
+        methods.push(sub.map(|s| ShardSlot {
+            det: s.restore(),
+            globals: map,
+        }));
     }
 }
 
@@ -935,8 +989,8 @@ fn global_rows(state: &DetectorState, dim: usize, total: usize) -> (Matrix, Vec<
     let (index, labels) = match state {
         DetectorState::Retrieval { index, .. } => (index, vec![true; total]),
         DetectorState::VanillaKnn { index, labels, .. } => (index, labels.clone()),
-        // Flat states never shard (`split_shards` rejects them), so the
-        // router only ever merges neighbour states.
+        // Flat states never shard (`split_shards` rejects them), so
+        // only neighbour states are ever merged.
         DetectorState::Structural { .. } => {
             unreachable!("structural state is not shard-mergeable")
         }
@@ -960,9 +1014,12 @@ fn global_rows(state: &DetectorState, dim: usize, total: usize) -> (Matrix, Vec<
     (Matrix::from_fn(total, dim, |r, c| rows[r][c]), labels)
 }
 
-/// The router's background refit worker (see the single service's
-/// `refit_loop` — same trigger discipline).
-fn router_refit_loop(inner: &RouterInner, stop: &AtomicBool) {
+/// The background refit worker: polls the lifecycle triggers and runs
+/// [`RouterInner::run_refit`] whenever one is armed. A failed refit
+/// disarms its trigger (the engine keeps serving the old epoch and the
+/// append log stays unconsumed), so a persistently-broken fit logs
+/// once per trigger instead of hot-looping.
+fn refit_loop(inner: &RouterInner, stop: &AtomicBool) {
     let Some(lc) = inner.lifecycle.as_ref() else {
         return;
     };
@@ -973,27 +1030,6 @@ fn router_refit_loop(inner: &RouterInner, stop: &AtomicBool) {
             }
         }
         std::thread::sleep(IDLE_POLL);
-    }
-}
-
-/// Builds a brand-new per-shard detector from its first exemplars.
-fn new_shard_detector(
-    meta: &ShardedMethodMeta,
-    rows: &Matrix,
-    labels: &[bool],
-) -> Box<dyn Detector> {
-    let config: IndexConfig = meta.params.backend.config().with_quant(meta.quant);
-    match meta.name {
-        "vanilla-knn" => Box::new(VanillaKnnMethod::from_fitted(VanillaKnn::fit_with(
-            rows, labels, meta.k, config, None,
-        ))),
-        _ => Box::new(RetrievalMethod::from_fitted(RetrievalDetector::fit_with(
-            rows,
-            &vec![true; rows.rows()],
-            meta.k,
-            config,
-            None,
-        ))),
     }
 }
 
@@ -1048,9 +1084,10 @@ fn pool_loop(
     }
 }
 
-/// One front batcher: forms a micro-batch, embeds it once per pooled
-/// space, scatters to the shard pools, scores resident detectors
-/// meanwhile, gathers + merges, and replies per request.
+/// One batcher: blocks for a request, coalesces more arrivals within
+/// the batch window (up to `max_batch` lines), embeds the micro-batch
+/// once per pooled space, scatters to the shard pools, scores resident
+/// detectors meanwhile, gathers + merges, and replies per request.
 fn batcher_loop(
     inner: &RouterInner,
     rx: &Receiver<Request>,
@@ -1062,6 +1099,12 @@ fn batcher_loop(
             .iter()
             .flat_map(|r| r.lines.iter().cloned())
             .collect();
+        // Contain scoring panics (a detector assert, a poisoned engine
+        // lock): the batcher must survive, and dropping the batch drops
+        // its reply senders, surfacing `Closed` at the blocked callers
+        // instead of wedging the whole service — with `workers: 1` an
+        // uncaught unwind here would leave every future request
+        // hanging in its reply recv with no error at all.
         let scored = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             score_micro_batch(inner, &all_lines)
         }));
@@ -1073,8 +1116,7 @@ fn batcher_loop(
                     req.reply.send(reply);
                 }
             }
-            // A dead pool or a panic aborts the batch: dropped reply
-            // senders surface as `Closed` at the blocked callers.
+            // A dead pool aborts the batch the same way a panic does.
             Ok(None) | Err(_) => drop(requests),
         }
     }
@@ -1083,57 +1125,48 @@ fn batcher_loop(
 /// Scores one micro-batch end to end; `None` if a shard pool vanished
 /// mid-gather (shutdown race or a poisoned shard).
 fn score_micro_batch(inner: &RouterInner, lines: &[String]) -> Option<Vec<Vec<f32>>> {
-    let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
-    let resident_specs: Vec<ViewSpec> = {
-        let engine = inner.resident.read().unwrap();
-        engine
-            .detectors()
-            .iter()
-            .map(|d| (d.wants_embeddings(), d.pooling()))
-            .collect()
-    };
-    let specs = resident_specs
-        .iter()
-        .copied()
-        .chain(inner.metas.iter().map(|m| m.spec));
-    let views = PooledViews::build_specs(&inner.pipeline, specs, &refs);
+    let views = inner.embed(lines, &inner.resident_specs(|_| true));
 
     // Pin the pool set for the whole scatter/gather: a reshard that
     // swaps the pools mid-batch cannot mix partitions — this batch
     // completes entirely on the set it scattered to.
     let pools = inner.pools();
 
-    // Scatter to every shard pool…
-    let (reply_tx, reply_rx) = mpsc::channel();
-    for (s, pool) in pools.iter().enumerate() {
-        let job = ShardJob {
-            views: views.clone(),
-            shard: s,
-            reply: reply_tx.clone(),
-        };
-        pool.tx.send(job).ok()?;
-    }
-    drop(reply_tx);
-
-    // …score the resident detectors while the shards work…
-    let resident_scores: Vec<Vec<f32>> = if resident_specs.is_empty() {
-        Vec::new()
+    // Scatter to every shard pool (a pool-less service has nobody to
+    // hear from, so it creates no gather channel)…
+    let gather = if pools.is_empty() {
+        None
     } else {
-        let engine = inner.resident.read().unwrap();
-        engine
-            .score_each(|det| views.for_detector(det))
-            .outputs()
-            .iter()
-            .map(|m| m.scores.clone())
-            .collect()
+        let (reply_tx, reply_rx) = mpsc::channel();
+        for (s, pool) in pools.iter().enumerate() {
+            let job = ShardJob {
+                views: views.clone(),
+                shard: s,
+                reply: reply_tx.clone(),
+            };
+            pool.tx.send(job).ok()?;
+        }
+        Some(reply_rx)
     };
 
+    // …score the resident detectors while the shards work. One read
+    // guard spans the whole pass — the epoch-swap atomicity anchor: a
+    // refit's write-locked [`FittedEngine::install_refits`] waits for
+    // every in-flight batch, so each batch's resident verdicts come
+    // entirely from one detector generation…
+    let resident = inner
+        .resident
+        .read()
+        .unwrap()
+        .score_each(|det| views.for_detector(det));
+
     // …gather the shard answers…
-    let n_shards = pools.len();
-    let mut per_shard: Vec<Option<ShardAnswer>> = (0..n_shards).map(|_| None).collect();
-    for _ in 0..n_shards {
-        let (s, answer) = reply_rx.recv().ok()?;
-        per_shard[s] = Some(answer);
+    let mut per_shard: Vec<Option<ShardAnswer>> = pools.iter().map(|_| None).collect();
+    if let Some(reply_rx) = gather {
+        for _ in 0..pools.len() {
+            let (s, answer) = reply_rx.recv().ok()?;
+            per_shard[s] = Some(answer);
+        }
     }
 
     // …and merge per line per partitioned method.
@@ -1162,7 +1195,7 @@ fn score_micro_batch(inner: &RouterInner, lines: &[String]) -> Option<Vec<Vec<f3
                 .plan
                 .iter()
                 .map(|slot| match slot {
-                    Slot::Resident(r) => resident_scores[*r][i],
+                    Slot::Resident(r) => resident.outputs()[*r].scores[i],
                     Slot::Sharded(m) => merged[*m][i],
                 })
                 .collect()
@@ -1173,4 +1206,75 @@ fn score_micro_batch(inner: &RouterInner, lines: &[String]) -> Option<Vec<Vec<f3
     }
     inner.counters.record_batch(lines.len());
     Some(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::RefitSource;
+    use anomaly::{PcaMethod, RetrievalMethod, VanillaKnnMethod};
+    use cmdline_ids::embed::Pooling;
+    use cmdline_ids::engine::{EmbeddingStore, ScoringEngine};
+    use cmdline_ids::pipeline::PipelineConfig;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// `(batcher + refit threads, pool workers, pools)` of a live service.
+    fn threads(service: &ShardRouter) -> (usize, usize, usize) {
+        (
+            service.batchers.len(),
+            service.inner.pool_workers.lock().unwrap().len(),
+            service.inner.pools().len(),
+        )
+    }
+
+    #[test]
+    fn one_shard_spawns_only_the_scoring_workers() {
+        let mut config = PipelineConfig::fast();
+        config.train_size = 300;
+        config.test_size = 50;
+        let mut rng = StdRng::seed_from_u64(99);
+        let dataset = config.generate_dataset(&mut rng);
+        let pipeline = IdsPipeline::pretrain(&config, &dataset, &mut rng);
+        let train: Vec<String> = dataset.train.iter().map(|r| r.line.clone()).collect();
+        let labels: Vec<bool> = (0..train.len()).map(|i| i % 4 == 0).collect();
+        let fit = |shards: usize| {
+            let view = EmbeddingStore::new(&pipeline).view_of(&train, Pooling::Mean);
+            ScoringEngine::new()
+                .with_index_config(IndexConfig::Exact.with_shards(shards))
+                .register(Box::new(RetrievalMethod::new(1)))
+                .register(Box::new(PcaMethod::new(0.95)))
+                .register(Box::new(VanillaKnnMethod::new(3)))
+                .fit(&view, &labels)
+                .expect("detector set fits")
+        };
+        let config = |shards: usize| RouterConfig {
+            shards,
+            serve: ServeConfig {
+                workers: 3,
+                ..ServeConfig::default()
+            },
+            shard_workers: 2,
+        };
+        let spawn = |engine, shards| ShardRouter::spawn(pipeline.clone(), engine, config(shards));
+
+        // Unsharded or sharded-index-fitted alike: resident, no pool.
+        for fitted_shards in [1, 4] {
+            let service = spawn(fit(fitted_shards), 1).expect("spawns");
+            assert_eq!(threads(&service), (3, 0, 0));
+            assert!(service.shard_row_counts("vanilla-knn").is_none());
+        }
+        let source = RefitSource::new(train.clone(), labels.clone()).expect("aligned source");
+        let service = ShardRouter::spawn_with_lifecycle(
+            pipeline.clone(),
+            fit(1),
+            config(1),
+            LifecycleConfig::new(source),
+        )
+        .expect("spawns");
+        assert_eq!(threads(&service), (3 + 1, 0, 0), "background refit worker");
+
+        let service = spawn(fit(4), 4).expect("spawns");
+        assert_eq!(threads(&service), (3, 4 * 2, 4));
+    }
 }

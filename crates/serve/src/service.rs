@@ -1,17 +1,19 @@
-//! The long-lived scoring service and its micro-batching workers.
+//! The scoring service's request protocol: its queue knobs and typed
+//! errors, the queued request and its reply routes, the client handle
+//! producers submit through, micro-batch formation, and the embedding
+//! views one micro-batch shares. The service that drains the queue is
+//! [`crate::ShardRouter`].
 
-use crate::lifecycle::{LifecycleConfig, LifecycleState, LifecycleStats};
-use crate::snapshot::ServiceSnapshot;
 use cmdline_ids::embed::{embed_lines, Pooling};
-use cmdline_ids::engine::{Detector, EmbeddingView, EngineError, FittedEngine};
+use cmdline_ids::engine::{EmbeddingView, EngineError};
 use cmdline_ids::pipeline::IdsPipeline;
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, RwLock};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Knobs for a [`ScoringService`].
+/// Queue and micro-batching knobs of the scoring service
+/// ([`crate::ShardRouter`]).
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
     /// Bounded request-queue capacity: producers block (back-pressure)
@@ -130,9 +132,7 @@ impl From<EngineError> for ServeError {
 }
 
 /// One queued scoring request: the caller's lines plus the reply
-/// route its scores come back on. Shared with the shard router, whose
-/// front queue speaks the same protocol (which is what lets
-/// [`ServiceClient`] drive either).
+/// route its scores come back on.
 pub(crate) struct Request {
     pub(crate) lines: Vec<String>,
     pub(crate) reply: Reply,
@@ -250,130 +250,8 @@ impl Counters {
     }
 }
 
-/// Shared innards: the frozen pipeline, the resident fitted detector
-/// set, and which pooled spaces its detectors read.
-struct Inner {
-    pipeline: IdsPipeline,
-    engine: RwLock<FittedEngine>,
-    method_names: Vec<String>,
-    counters: Counters,
-    /// The detector-state epoch: bumped after every absorbed append
-    /// and after every refit swap. Shared with an attached
-    /// [`crate::VerdictCache`] so one counter invalidates cached
-    /// verdicts across *both* kinds of state change, and checked by
-    /// snapshot captures to detect a swap that landed mid-capture.
-    state_epoch: Arc<AtomicU64>,
-    /// The online refit lifecycle, when configured at spawn.
-    lifecycle: Option<LifecycleState>,
-}
-
-impl Inner {
-    /// Embeds `lines` once per pooled space the detector set reads and
-    /// scores them with every resident detector. Returns one score
-    /// vector per line, methods in registration order.
-    ///
-    /// The engine read lock is held across the whole micro-batch —
-    /// embed, score, transpose — which is the epoch-swap atomicity
-    /// anchor: a refit's write-locked [`FittedEngine::install_refits`]
-    /// waits for every in-flight batch, so each batch's verdicts come
-    /// entirely from one detector generation.
-    fn score_lines(&self, lines: &[String]) -> Vec<Vec<f32>> {
-        let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
-        let engine = self.engine.read().unwrap();
-        let views = PooledViews::build(&self.pipeline, &engine, &refs);
-        let run = engine.score_each(|det| views.for_detector(det));
-        // Transpose method-major engine output into line-major replies.
-        let n_methods = run.outputs().len();
-        let mut out = vec![Vec::with_capacity(n_methods); lines.len()];
-        for method in run.outputs() {
-            debug_assert_eq!(method.scores.len(), lines.len());
-            for (line, &s) in out.iter_mut().zip(&method.scores) {
-                line.push(s);
-            }
-        }
-        drop(engine);
-        if let Some(lc) = &self.lifecycle {
-            lc.observe_scores(observed_means(&out));
-        }
-        self.counters.record_batch(lines.len());
-        out
-    }
-
-    /// Runs one refit: fit fresh templates of every refittable
-    /// detector on baseline ∪ append-log, then swap them in under one
-    /// brief engine write lock. Scoring workers keep serving the old
-    /// epoch for the whole (expensive) embed + fit; only the swap
-    /// itself excludes them. Returns the engine epoch after the swap.
-    fn run_refit(&self) -> Result<u64, ServeError> {
-        let lc = self.lifecycle.as_ref().ok_or_else(|| {
-            ServeError::InvalidConfig(
-                "refit requires a lifecycle (spawn with ScoringService::spawn_with_lifecycle)"
-                    .into(),
-            )
-        })?;
-        // One refit at a time; a second trigger waits and then refits
-        // over the longer log, which is never wrong, just newer.
-        let _serialized = lc.refit_lock.lock().unwrap();
-        let (lines, labels, prefix) = lc.take_training();
-        // Collect templates (cheap, unfitted) under a brief read lock.
-        let templates: Vec<(usize, Box<dyn Detector>)> = {
-            let engine = self.engine.read().unwrap();
-            engine
-                .detectors()
-                .iter()
-                .enumerate()
-                .filter_map(|(i, det)| det.refit_template().map(|t| (i, t)))
-                .collect()
-        };
-        if templates.is_empty() {
-            // Nothing is refittable; still consume the trigger so a
-            // background worker does not spin on a permanently-armed
-            // trigger.
-            lc.finish_refit(prefix);
-            return Ok(self.engine.read().unwrap().epoch());
-        }
-        // Embed + fit entirely off-lock: per-line embeddings are
-        // bit-identical regardless of batch composition and the
-        // templates carry their seeds, so this reproduces exactly what
-        // a stop-the-world refit over the same history would build.
-        let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
-        let views = PooledViews::build_specs(
-            &self.pipeline,
-            templates
-                .iter()
-                .map(|(_, t)| (t.wants_embeddings(), t.pooling())),
-            &refs,
-        );
-        let mut fitted = Vec::with_capacity(templates.len());
-        for (i, mut template) in templates {
-            if let Err(e) = template.fit(&views.for_detector(template.as_ref()), &labels) {
-                lc.fail_refit();
-                return Err(ServeError::Engine(format!(
-                    "refit {:?}: {e}",
-                    template.name()
-                )));
-            }
-            fitted.push((i, template));
-        }
-        // The atomic swap: in-flight micro-batches (engine readers)
-        // finish on the old epoch first, then every later batch scores
-        // on the new one.
-        let epoch = {
-            let mut engine = self.engine.write().unwrap();
-            engine.install_refits(fitted)
-        };
-        // State epoch strictly after the swap: a verdict-cache insert
-        // that looked up pre-swap observes the bump and drops itself,
-        // same discipline as appends.
-        self.state_epoch.fetch_add(1, Ordering::AcqRel);
-        lc.finish_refit(prefix);
-        Ok(epoch)
-    }
-}
-
 /// Per-line mean across methods — the one-dimensional verdict stream
-/// the drift tracker watches. Shared by the service and the router so
-/// both front-ends feed the tracker identically.
+/// the drift tracker watches.
 pub(crate) fn observed_means(verdicts: &[Vec<f32>]) -> impl Iterator<Item = f32> + '_ {
     verdicts.iter().map(|v| {
         if v.is_empty() {
@@ -392,8 +270,8 @@ pub(crate) type ViewSpec = (bool, Pooling);
 /// per pooled space any consumer reads, plus a lines-only view for
 /// methods that embed under their own encoder. Views nothing reads
 /// are not built. Cheap to clone (every view is `Arc`-backed), which
-/// is how the shard router hands one embedded batch to every shard
-/// pool without re-encoding.
+/// is how the service hands one embedded batch to every shard pool
+/// without re-encoding.
 #[derive(Clone)]
 pub(crate) struct PooledViews {
     n_lines: usize,
@@ -403,38 +281,9 @@ pub(crate) struct PooledViews {
 }
 
 impl PooledViews {
-    /// Views for a scoring pass: every resident detector reads them.
-    fn build(pipeline: &IdsPipeline, engine: &FittedEngine, lines: &[&str]) -> Self {
-        Self::build_for(pipeline, engine, lines, |_| true)
-    }
-
-    /// Views for an append pass: only detectors that absorb appends
-    /// will be handed a view, so only their pooled spaces are worth
-    /// an encoder pass.
-    fn build_for_append(pipeline: &IdsPipeline, engine: &FittedEngine, lines: &[&str]) -> Self {
-        Self::build_for(pipeline, engine, lines, |det| det.absorbs_appends())
-    }
-
-    fn build_for(
-        pipeline: &IdsPipeline,
-        engine: &FittedEngine,
-        lines: &[&str],
-        reads_views: impl Fn(&dyn cmdline_ids::engine::Detector) -> bool,
-    ) -> Self {
-        Self::build_specs(
-            pipeline,
-            engine
-                .detectors()
-                .iter()
-                .filter(|det| reads_views(det.as_ref()))
-                .map(|det| (det.wants_embeddings(), det.pooling())),
-            lines,
-        )
-    }
-
-    /// Views for an explicit set of consumers — the shard router's
-    /// path, where the consumers are split across resident detectors
-    /// and per-shard pools rather than living in one engine.
+    /// Views for an explicit set of consumers — resident detectors and
+    /// per-shard pools alike, so an append can ask only for the pooled
+    /// spaces its absorbing detectors read.
     pub(crate) fn build_specs(
         pipeline: &IdsPipeline,
         specs: impl Iterator<Item = ViewSpec>,
@@ -495,17 +344,16 @@ impl PooledViews {
 }
 
 /// The shutdown gate: submissions take the read lock for the
-/// check-and-send, [`ScoringService::shutdown`] flips the flag under
+/// check-and-send, [`crate::ShardRouter::shutdown`] flips the flag under
 /// the write lock — so no request can slip into the queue after the
 /// workers were told to stop (it would hang unanswered).
 pub(crate) type CloseGate = RwLock<bool>;
 
-/// A cloneable submission handle onto a running scoring front-end —
-/// [`ScoringService`] or [`crate::ShardRouter`]; both speak the same
-/// request protocol, so producers are agnostic to whether verdicts
-/// come from one resident engine or a merged shard fan-out. Hand one
-/// to each producer thread. Outlives the service safely: calls after
-/// shutdown return [`ServeError::Closed`].
+/// A cloneable submission handle onto a running scoring service
+/// ([`crate::ShardRouter`]); producers are agnostic to whether
+/// verdicts come from resident detectors alone or a merged shard
+/// fan-out. Hand one to each producer thread. Outlives the service
+/// safely: calls after shutdown return [`ServeError::Closed`].
 #[derive(Clone)]
 pub struct ServiceClient {
     tx: Sender<Request>,
@@ -514,7 +362,7 @@ pub struct ServiceClient {
 }
 
 impl ServiceClient {
-    /// Wires a client onto a front queue (shared with the router).
+    /// Wires a client onto the service's front queue.
     pub(crate) fn new(
         tx: Sender<Request>,
         gate: Arc<CloseGate>,
@@ -528,7 +376,7 @@ impl ServiceClient {
     }
 
     /// The shutdown gate this client submits through (the owning
-    /// front-end flips it at shutdown).
+    /// service flips it at shutdown).
     pub(crate) fn close_gate(&self) -> &Arc<CloseGate> {
         &self.gate
     }
@@ -576,289 +424,6 @@ impl ServiceClient {
     }
 }
 
-/// A running scoring service: a resident fitted detector set behind a
-/// bounded request queue drained by micro-batching workers. See the
-/// crate docs for the shape; construct with [`ScoringService::spawn`].
-pub struct ScoringService {
-    inner: Arc<Inner>,
-    client: ServiceClient,
-    /// Kept to drain (and thereby reject) requests that were already
-    /// queued when shutdown fired.
-    drain_rx: Receiver<Request>,
-    /// Worker exit flag. Deliberately separate from the producer-side
-    /// close gate: workers must NEVER touch that `RwLock`, because a
-    /// producer can hold its read half while blocked in a full-queue
-    /// `send` that only a *draining worker* can unblock — a worker
-    /// queuing behind shutdown's waiting `write()` (std `RwLock`
-    /// blocks new readers then) would deadlock all three parties.
-    stop: Arc<AtomicBool>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl ScoringService {
-    /// Spawns the scoring workers around a fitted detector set and the
-    /// frozen pipeline that embeds arriving lines.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::StreamStructured`] if any fitted detector cannot
-    /// produce per-line verdicts (e.g. multiline).
-    pub fn spawn(
-        pipeline: IdsPipeline,
-        engine: FittedEngine,
-        config: ServeConfig,
-    ) -> Result<ScoringService, ServeError> {
-        Self::spawn_inner(pipeline, engine, config, None)
-    }
-
-    /// [`ScoringService::spawn`] with the online refit lifecycle
-    /// attached: appends are logged, scored verdicts feed the drift
-    /// tracker, and — in background mode — a refit worker re-fits the
-    /// unsupervised detectors off the accumulated stream and swaps the
-    /// new epoch in whenever a trigger fires. Manual mode
-    /// ([`LifecycleConfig::manual`]) arms the triggers but leaves
-    /// running [`ScoringService::refit`] to the caller.
-    pub fn spawn_with_lifecycle(
-        pipeline: IdsPipeline,
-        engine: FittedEngine,
-        config: ServeConfig,
-        lifecycle: LifecycleConfig,
-    ) -> Result<ScoringService, ServeError> {
-        Self::spawn_inner(pipeline, engine, config, Some(lifecycle))
-    }
-
-    fn spawn_inner(
-        pipeline: IdsPipeline,
-        engine: FittedEngine,
-        config: ServeConfig,
-        lifecycle: Option<LifecycleConfig>,
-    ) -> Result<ScoringService, ServeError> {
-        config.validate()?;
-        for det in engine.detectors() {
-            if !det.test_aligned() {
-                return Err(ServeError::StreamStructured(det.name().to_string()));
-            }
-        }
-        let lifecycle = lifecycle.map(LifecycleState::new).transpose()?;
-        let method_names: Arc<[String]> = engine
-            .method_names()
-            .into_iter()
-            .map(String::from)
-            .collect::<Vec<_>>()
-            .into();
-        let inner = Arc::new(Inner {
-            pipeline,
-            engine: RwLock::new(engine),
-            method_names: method_names.to_vec(),
-            counters: Counters::default(),
-            state_epoch: Arc::new(AtomicU64::new(0)),
-            lifecycle,
-        });
-        let (tx, rx) = bounded::<Request>(config.queue_capacity);
-        let gate: Arc<CloseGate> = Arc::new(RwLock::new(false));
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut workers: Vec<JoinHandle<()>> = (0..config.workers)
-            .map(|_| {
-                let inner = inner.clone();
-                let rx = rx.clone();
-                let stop = stop.clone();
-                std::thread::spawn(move || worker_loop(&inner, &rx, &stop, &config))
-            })
-            .collect();
-        if inner
-            .lifecycle
-            .as_ref()
-            .is_some_and(LifecycleState::background)
-        {
-            let inner = inner.clone();
-            let stop = stop.clone();
-            workers.push(std::thread::spawn(move || refit_loop(&inner, &stop)));
-        }
-        Ok(ScoringService {
-            inner,
-            client: ServiceClient::new(tx, gate, method_names),
-            drain_rx: rx,
-            stop,
-            workers,
-        })
-    }
-
-    /// A cloneable submission handle for producer threads.
-    pub fn client(&self) -> ServiceClient {
-        self.client.clone()
-    }
-
-    /// Names (registration order) the per-line score vectors follow.
-    pub fn method_names(&self) -> &[String] {
-        &self.inner.method_names
-    }
-
-    /// Scores one arriving line (see [`ServiceClient::score_line`]).
-    pub fn score_line(&self, line: &str) -> Result<Vec<f32>, ServeError> {
-        self.client.score_line(line)
-    }
-
-    /// Scores a batch of lines (see [`ServiceClient::score_batch`]).
-    pub fn score_batch(&self, lines: &[String]) -> Result<Vec<Vec<f32>>, ServeError> {
-        self.client.score_batch(lines)
-    }
-
-    /// Absorbs freshly-labeled supervision into the resident detector
-    /// set: lines are embedded once per pooled space and every
-    /// detector gets [`Detector::append`](cmdline_ids::engine::Detector::append)
-    /// (neighbour-based methods insert into their live index — the
-    /// incremental HNSW path — others keep their fitted state).
-    /// Returns how many detectors absorbed the batch.
-    ///
-    /// Runs on the caller's thread; scoring workers keep serving the
-    /// old state until the brief write-lock at the end.
-    pub fn append(&self, lines: &[String], labels: &[bool]) -> Result<usize, ServeError> {
-        if lines.len() != labels.len() {
-            return Err(ServeError::Engine(format!(
-                "one label per line required: {} lines, {} labels",
-                lines.len(),
-                labels.len()
-            )));
-        }
-        if lines.is_empty() {
-            return Ok(0);
-        }
-        let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
-        // Embed under the read lock (workers keep scoring) and only
-        // for the pooled spaces the absorbing detectors read; the
-        // write lock below is then just the index inserts.
-        let views = {
-            let engine = self.inner.engine.read().unwrap();
-            PooledViews::build_for_append(&self.inner.pipeline, &engine, &refs)
-        };
-        let absorbed = {
-            let mut engine = self.inner.engine.write().unwrap();
-            engine.append_each(labels, |det| views.for_detector(det))?
-        };
-        // State changed: bump the shared epoch (cache invalidation,
-        // snapshot race detection) strictly after the write lock
-        // released, and log the batch for the next refit's training
-        // set.
-        self.inner.state_epoch.fetch_add(1, Ordering::AcqRel);
-        if let Some(lc) = &self.inner.lifecycle {
-            lc.record_appends(lines, labels);
-        }
-        Ok(absorbed)
-    }
-
-    /// Runs one refit now, on the caller's thread: fits fresh
-    /// templates of every refittable detector on baseline ∪ append-log
-    /// and swaps them in atomically (see [`FittedEngine::install_refits`]).
-    /// In-flight micro-batches finish on the old epoch; no line is
-    /// dropped or double-scored across the swap. Returns the engine
-    /// epoch after the swap. Requires a lifecycle
-    /// ([`ScoringService::spawn_with_lifecycle`]).
-    pub fn refit(&self) -> Result<u64, ServeError> {
-        self.inner.run_refit()
-    }
-
-    /// The resident engine's detector generation (see
-    /// [`FittedEngine::epoch`]): 0 at spawn, +1 per refit swap.
-    pub fn engine_epoch(&self) -> u64 {
-        self.inner.engine.read().unwrap().epoch()
-    }
-
-    /// The detector-state epoch: bumped on every absorbed append *and*
-    /// every refit swap — the counter an attached verdict cache
-    /// invalidates by.
-    pub fn state_epoch(&self) -> u64 {
-        self.inner.state_epoch.load(Ordering::Acquire)
-    }
-
-    /// The shared state-epoch counter, for wiring a
-    /// [`crate::VerdictCache`] onto the same invalidation source.
-    pub(crate) fn state_epoch_handle(&self) -> Arc<AtomicU64> {
-        self.inner.state_epoch.clone()
-    }
-
-    /// Lifecycle counters and trigger state; `None` when spawned
-    /// without a lifecycle.
-    pub fn lifecycle_stats(&self) -> Option<LifecycleStats> {
-        self.inner.lifecycle.as_ref().map(LifecycleState::stats)
-    }
-
-    /// Captures the persistable detector state at a single consistent
-    /// epoch. The capture runs under the engine read lock — a refit's
-    /// write-locked swap cannot interleave — and the state epoch is
-    /// checked around the lock acquisition: if an append or refit
-    /// landed between reading `before` and finishing the capture, the
-    /// capture is discarded with a typed
-    /// [`ServeError::SnapshotRace`] instead of persisting frames whose
-    /// epoch is ambiguous. Returns the snapshot plus the names of
-    /// detectors that were not capturable.
-    pub fn snapshot(&self) -> Result<(ServiceSnapshot, Vec<String>), ServeError> {
-        let before = self.state_epoch();
-        let captured = {
-            let engine = self.inner.engine.read().unwrap();
-            ServiceSnapshot::capture(&engine)
-        };
-        let after = self.state_epoch();
-        if before != after {
-            return Err(ServeError::SnapshotRace { before, after });
-        }
-        Ok(captured)
-    }
-
-    /// Runs `f` over the resident fitted engine (snapshot capture,
-    /// introspection) under the engine read lock: concurrent
-    /// [`ScoringService::append`]s are excluded for a consistent
-    /// detector view, but scoring workers (also readers) keep serving
-    /// — this does **not** quiesce the service.
-    pub fn with_engine<R>(&self, f: impl FnOnce(&FittedEngine) -> R) -> R {
-        f(&self.inner.engine.read().unwrap())
-    }
-
-    /// Monotonic batch/line counters.
-    pub fn stats(&self) -> ServiceStats {
-        self.inner.counters.stats()
-    }
-
-    /// Stops accepting requests and joins the workers; requests still
-    /// queued (and any caller blocked on them) observe
-    /// [`ServeError::Closed`]. Dropping the service does the same.
-    /// Outstanding [`ServiceClient`] clones stay safe to call — they
-    /// just get `Closed` back.
-    pub fn shutdown(mut self) {
-        self.shutdown_in_place();
-    }
-
-    fn shutdown_in_place(&mut self) {
-        {
-            // The write lock waits out in-flight submissions, then the
-            // flag turns every later one away at the gate. Workers are
-            // still running here — a submission blocked on a full
-            // queue needs them draining before it releases its read
-            // half of the gate.
-            let mut closed = self.client.gate.write().unwrap();
-            if *closed {
-                return;
-            }
-            *closed = true;
-        }
-        // No new request can enter now; tell the workers to exit once
-        // the queue runs dry and they hit their idle poll.
-        self.stop.store(true, Ordering::Release);
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-        // Reject what the workers left behind: dropping a request
-        // drops its reply sender, which surfaces as `Closed` at the
-        // blocked caller.
-        while self.drain_rx.try_recv().is_ok() {}
-    }
-}
-
-impl Drop for ScoringService {
-    fn drop(&mut self) {
-        self.shutdown_in_place();
-    }
-}
-
 /// How long an idle worker sleeps between shutdown-flag checks.
 pub(crate) const IDLE_POLL: Duration = Duration::from_millis(25);
 
@@ -887,9 +452,7 @@ fn drain_queued(rx: &Receiver<Request>, requests: &mut Vec<Request>, budget: usi
 /// Blocks for a request and coalesces more arrivals within the batch
 /// window (up to `max_batch` lines) into one micro-batch. Returns
 /// `None` when the worker should exit (stop flag observed while idle,
-/// or the queue disconnected). Shared by the single-service workers
-/// and the shard router's front batchers — micro-batch formation is
-/// identical on both paths.
+/// or the queue disconnected).
 pub(crate) fn collect_batch(
     rx: &Receiver<Request>,
     stop: &AtomicBool,
@@ -900,7 +463,7 @@ pub(crate) fn collect_batch(
         match rx.recv_timeout(IDLE_POLL) {
             Ok(req) => break req,
             Err(RecvTimeoutError::Timeout) => {
-                // Lock-free by design — see `ScoringService::stop`.
+                // Lock-free by design — see `ShardRouter::stop_batchers`.
                 if stop.load(Ordering::Acquire) {
                     return None;
                 }
@@ -936,54 +499,4 @@ pub(crate) fn collect_batch(
         }
     }
     Some(requests)
-}
-
-/// One worker: blocks for a request, coalesces more arrivals within
-/// the batch window (up to `max_batch` lines), scores the micro-batch
-/// with one encoder pass per pooled space, and replies per request.
-fn worker_loop(inner: &Inner, rx: &Receiver<Request>, stop: &AtomicBool, config: &ServeConfig) {
-    while let Some(requests) = collect_batch(rx, stop, config.max_batch, config.batch_window) {
-        let all_lines: Vec<String> = requests
-            .iter()
-            .flat_map(|r| r.lines.iter().cloned())
-            .collect();
-        // Contain scoring panics (a detector assert, a poisoned engine
-        // lock): the worker must survive, and dropping the batch drops
-        // its reply senders, surfacing `Closed` at the blocked callers
-        // instead of wedging the whole service — with `workers: 1` an
-        // uncaught unwind here would leave every future request
-        // hanging in its reply recv with no error at all.
-        let scored = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            inner.score_lines(&all_lines)
-        }));
-        match scored {
-            Ok(scored) => {
-                let mut scored = scored.into_iter();
-                for req in requests {
-                    let reply: Vec<Vec<f32>> = scored.by_ref().take(req.lines.len()).collect();
-                    req.reply.send(reply);
-                }
-            }
-            Err(_) => drop(requests),
-        }
-    }
-}
-
-/// The background refit worker: polls the lifecycle triggers and runs
-/// [`Inner::run_refit`] whenever one is armed. A failed refit disarms
-/// its trigger (the engine keeps serving the old epoch and the append
-/// log stays unconsumed), so a persistently-broken fit logs once per
-/// trigger instead of hot-looping.
-fn refit_loop(inner: &Inner, stop: &AtomicBool) {
-    let Some(lc) = inner.lifecycle.as_ref() else {
-        return;
-    };
-    while !stop.load(Ordering::Acquire) {
-        if lc.refit_pending() {
-            if let Err(e) = inner.run_refit() {
-                eprintln!("serve: background refit failed: {e}");
-            }
-        }
-        std::thread::sleep(IDLE_POLL);
-    }
 }

@@ -6,17 +6,20 @@
 //! snapshots against the score traffic and pins convergence to a
 //! quiet comparator with the same append history.
 //!
+//! Every test runs over [`SHARD_COUNTS`]: the pool-less service and
+//! the scatter/gather path share one loop, so they share one stress.
+//!
 //! `SERVE_STRESS_ITERS=N` multiplies the per-producer quotas for the
 //! release-mode CI stress job.
 
 use cmdline_ids::embed::Pooling;
-use cmdline_ids::engine::{EmbeddingStore, ScoringEngine};
+use cmdline_ids::engine::{EmbeddingStore, FittedEngine, IndexConfig, ScoringEngine};
 use cmdline_ids::pipeline::{IdsPipeline, PipelineConfig};
 use corpus::dedup_records;
 use ids_rules::RuleIds;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serve::{ScoringService, ServeConfig, ServeError};
+use serve::{Frontend, ServeConfig, ServeError};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 use std::time::Duration;
@@ -25,6 +28,9 @@ use anomaly::{RetrievalMethod, VanillaKnnMethod};
 
 const PRODUCERS: usize = 8;
 const LINES_PER_PRODUCER: usize = 40;
+/// 1: every detector resident, no pool. 4: both neighbour methods
+/// partitioned over four shard pools.
+const SHARD_COUNTS: [usize; 2] = [1, 4];
 
 /// Iteration multiplier for the CI stress job.
 fn stress_factor() -> usize {
@@ -33,6 +39,34 @@ fn stress_factor() -> usize {
         .and_then(|v| v.parse().ok())
         .filter(|&f| f >= 1)
         .unwrap_or(1)
+}
+
+/// Retrieval + vanilla kNN over an exact index partitioned `shards`
+/// ways (`with_shards(1)` is the unsharded index).
+fn fit_neighbours(
+    pipeline: &IdsPipeline,
+    train_lines: &[String],
+    labels: &[bool],
+    shards: usize,
+) -> FittedEngine {
+    let index = IndexConfig::Exact.with_shards(shards);
+    let train = EmbeddingStore::new(pipeline).view_of(train_lines, Pooling::Mean);
+    ScoringEngine::new()
+        .register(Box::new(RetrievalMethod::with_index(1, index)))
+        .register(Box::new(VanillaKnnMethod::with_index(3, index)))
+        .fit(&train, labels)
+        .expect("fit succeeds")
+}
+
+/// The deliberately tiny queue: producers must block on back-pressure,
+/// which is exactly where a deadlock would bite.
+fn tiny_queue() -> ServeConfig {
+    ServeConfig {
+        queue_capacity: 4,
+        max_batch: 16,
+        batch_window: Duration::from_micros(500),
+        workers: 3,
+    }
 }
 
 fn service_fixture() -> (IdsPipeline, Vec<String>, Vec<bool>, Vec<String>) {
@@ -60,30 +94,18 @@ fn service_fixture() -> (IdsPipeline, Vec<String>, Vec<bool>, Vec<String>) {
 #[test]
 fn concurrent_producers_get_exactly_one_score_per_line() {
     let (pipeline, train_lines, labels, lines) = service_fixture();
-    let store = EmbeddingStore::new(&pipeline);
-    let train = store.view_of(&train_lines, Pooling::Mean);
-    let fitted = ScoringEngine::new()
-        .register(Box::new(RetrievalMethod::new(1)))
-        .register(Box::new(VanillaKnnMethod::new(3)))
-        .fit(&train, &labels)
-        .expect("fit succeeds");
-    let service = ScoringService::spawn(
-        pipeline,
-        fitted,
-        ServeConfig {
-            // Tiny queue: producers must block on back-pressure, which
-            // is exactly where a deadlock would bite.
-            queue_capacity: 4,
-            max_batch: 16,
-            batch_window: Duration::from_micros(500),
-            workers: 3,
-        },
-    )
-    .expect("service spawns");
+    for shards in SHARD_COUNTS {
+        let fitted = fit_neighbours(&pipeline, &train_lines, &labels, shards);
+        let service = Frontend::spawn(pipeline.clone(), fitted, shards, tiny_queue())
+            .expect("service spawns");
+        exactly_one_score_per_line(service, &lines);
+    }
+}
 
+fn exactly_one_score_per_line(service: Frontend, lines: &[String]) {
     // Quiet single-threaded reference verdict per distinct line.
     let mut reference = std::collections::HashMap::new();
-    for line in &lines {
+    for line in lines {
         if !reference.contains_key(line) {
             reference.insert(
                 line.clone(),
@@ -101,7 +123,6 @@ fn concurrent_producers_get_exactly_one_score_per_line() {
         for p in 0..PRODUCERS {
             let client = client.clone();
             let barrier = &barrier;
-            let lines = &lines;
             let quota = LINES_PER_PRODUCER * stress_factor();
             handles.push(scope.spawn(move || {
                 barrier.wait();
@@ -161,15 +182,16 @@ fn concurrent_producers_get_exactly_one_score_per_line() {
 #[test]
 fn appends_and_snapshots_race_scores_without_deadlock() {
     let (pipeline, train_lines, labels, lines) = service_fixture();
-    let store = EmbeddingStore::new(&pipeline);
-    let train = store.view_of(&train_lines, Pooling::Mean);
-    let fit = || {
-        ScoringEngine::new()
-            .register(Box::new(RetrievalMethod::new(1)))
-            .register(Box::new(VanillaKnnMethod::new(3)))
-            .fit(&train, &labels)
-            .expect("fit succeeds")
-    };
+    for shards in SHARD_COUNTS {
+        let spawn = |serve: ServeConfig| {
+            let fitted = fit_neighbours(&pipeline, &train_lines, &labels, shards);
+            Frontend::spawn(pipeline.clone(), fitted, shards, serve).expect("spawns")
+        };
+        appends_and_snapshots_race_scores(spawn, &lines);
+    }
+}
+
+fn appends_and_snapshots_race_scores(spawn: impl Fn(ServeConfig) -> Frontend, lines: &[String]) {
     let bursts: Vec<(Vec<String>, Vec<bool>)> = (0..4 * stress_factor())
         .map(|r| {
             let start = (r * 7) % (lines.len() - 6);
@@ -180,27 +202,16 @@ fn appends_and_snapshots_race_scores_without_deadlock() {
         .collect();
 
     // Quiet comparator: the same append history, no racing traffic.
-    let comparator =
-        ScoringService::spawn(pipeline.clone(), fit(), ServeConfig::default()).expect("spawns");
+    let comparator = spawn(ServeConfig::default());
     for (burst, burst_labels) in &bursts {
         comparator
             .append(burst, burst_labels)
             .expect("quiet append");
     }
-    let want: Vec<Vec<f32>> = comparator.score_batch(&lines).expect("comparator scores");
+    let want: Vec<Vec<f32>> = comparator.score_batch(lines).expect("comparator scores");
     comparator.shutdown();
 
-    let service = ScoringService::spawn(
-        pipeline,
-        fit(),
-        ServeConfig {
-            queue_capacity: 4,
-            max_batch: 16,
-            batch_window: Duration::from_micros(500),
-            workers: 3,
-        },
-    )
-    .expect("service spawns");
+    let service = spawn(tiny_queue());
 
     // Writers and readers on the same barrier: appends mutate the
     // indexes and bump the state epoch while producers stream scores
@@ -213,7 +224,7 @@ fn appends_and_snapshots_race_scores_without_deadlock() {
         let mut handles = Vec::new();
         for p in 0..PRODUCERS {
             let client = service.client();
-            let (barrier, lines) = (&barrier, &lines);
+            let barrier = &barrier;
             let quota = LINES_PER_PRODUCER * stress_factor();
             handles.push(scope.spawn(move || {
                 barrier.wait();
@@ -275,7 +286,7 @@ fn appends_and_snapshots_race_scores_without_deadlock() {
 
     // Converged: once the appends have all landed, the racy service is
     // the quiet comparator, bit for bit.
-    let got: Vec<Vec<f32>> = service.score_batch(&lines).expect("post-race scores");
+    let got: Vec<Vec<f32>> = service.score_batch(lines).expect("post-race scores");
     assert_eq!(
         got, want,
         "append-racing-score history diverged from quiet appends"
@@ -287,18 +298,16 @@ fn appends_and_snapshots_race_scores_without_deadlock() {
 #[test]
 fn shutdown_then_submit_reports_closed() {
     let (pipeline, train_lines, labels, lines) = service_fixture();
-    let store = EmbeddingStore::new(&pipeline);
-    let train = store.view_of(&train_lines, Pooling::Mean);
-    let fitted = ScoringEngine::new()
-        .register(Box::new(RetrievalMethod::new(1)))
-        .fit(&train, &labels)
-        .expect("fit succeeds");
-    let service = ScoringService::spawn(pipeline, fitted, ServeConfig::default()).expect("spawns");
-    let client = service.client();
-    assert!(client.score_line(&lines[0]).is_ok());
-    service.shutdown();
-    assert_eq!(
-        client.score_line(&lines[0]).unwrap_err(),
-        serve::ServeError::Closed
-    );
+    for shards in SHARD_COUNTS {
+        let fitted = fit_neighbours(&pipeline, &train_lines, &labels, shards);
+        let service = Frontend::spawn(pipeline.clone(), fitted, shards, ServeConfig::default())
+            .expect("spawns");
+        let client = service.client();
+        assert!(client.score_line(&lines[0]).is_ok());
+        service.shutdown();
+        assert_eq!(
+            client.score_line(&lines[0]).unwrap_err(),
+            serve::ServeError::Closed
+        );
+    }
 }

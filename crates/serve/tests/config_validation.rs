@@ -18,61 +18,56 @@ fn invalid(result: Result<(), ServeError>, needle: &str) {
 
 #[test]
 fn zero_knobs_are_rejected_with_typed_errors() {
-    let ok = ServeConfig::default();
+    // One table over the one path a spawn validates through:
+    // `RouterConfig::validate`, which covers its nested serve knobs.
+    let ok = RouterConfig::default();
     assert!(ok.validate().is_ok());
+    let serve = |serve: ServeConfig| RouterConfig { serve, ..ok };
+    let rejected = [
+        (
+            serve(ServeConfig {
+                queue_capacity: 0,
+                ..ok.serve
+            }),
+            "queue_capacity",
+        ),
+        (
+            serve(ServeConfig {
+                workers: 0,
+                ..ok.serve
+            }),
+            "workers",
+        ),
+        (
+            serve(ServeConfig {
+                max_batch: 0,
+                ..ok.serve
+            }),
+            "max_batch",
+        ),
+        (RouterConfig { shards: 0, ..ok }, "shards"),
+        (
+            RouterConfig {
+                shard_workers: 0,
+                ..ok
+            },
+            "shard_workers",
+        ),
+    ];
+    for (config, needle) in rejected {
+        invalid(config.validate(), needle);
+    }
 
-    invalid(
-        ServeConfig {
-            queue_capacity: 0,
-            ..ok
-        }
-        .validate(),
-        "queue_capacity",
-    );
-    invalid(ServeConfig { workers: 0, ..ok }.validate(), "workers");
-    invalid(ServeConfig { max_batch: 0, ..ok }.validate(), "max_batch");
-
+    // One shard is legal: every detector resident, no pool.
+    assert!(RouterConfig { shards: 1, ..ok }.validate().is_ok());
     // A zero batch *window* stays legal: it is the documented
     // score-every-request-alone mode (the serve_throughput baseline).
-    assert!(ServeConfig {
+    assert!(serve(ServeConfig {
         batch_window: Duration::ZERO,
-        ..ok
-    }
+        ..ok.serve
+    })
     .validate()
     .is_ok());
-}
-
-#[test]
-fn router_knobs_are_validated_too() {
-    assert!(RouterConfig::default().validate().is_ok());
-    invalid(
-        RouterConfig {
-            shards: 0,
-            ..RouterConfig::default()
-        }
-        .validate(),
-        "shards",
-    );
-    invalid(
-        RouterConfig {
-            shard_workers: 0,
-            ..RouterConfig::default()
-        }
-        .validate(),
-        "shard_workers",
-    );
-    // Nested serve knobs propagate.
-    invalid(
-        RouterConfig {
-            serve: ServeConfig {
-                workers: 0,
-                ..ServeConfig::default()
-            },
-            ..RouterConfig::default()
-        }
-        .validate(),
-        "workers",
-    );
 }
 
 #[test]

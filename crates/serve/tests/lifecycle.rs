@@ -30,9 +30,7 @@ use corpus::dedup_records;
 use ids_rules::RuleIds;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serve::{
-    DriftConfig, Frontend, LifecycleConfig, RefitSource, ScoringService, ServeConfig, ServeError,
-};
+use serve::{DriftConfig, Frontend, LifecycleConfig, RefitSource, ServeConfig, ServeError};
 
 use anomaly::{PcaMethod, RetrievalMethod, VanillaKnnMethod};
 
@@ -138,9 +136,10 @@ fn refit_under_load_is_bit_identical_to_stop_the_world() {
     // Stop-the-world comparator: append quietly, refit quietly, score
     // quietly. `pre`/`post` are the only two verdict vectors any line
     // may ever produce — one per epoch.
-    let quiet = ScoringService::spawn_with_lifecycle(
+    let quiet = Frontend::spawn_with_lifecycle(
         pipeline.clone(),
         fit(&pipeline, &train, &labels, IndexConfig::Exact),
+        1,
         racy_config(),
         manual_lifecycle(&train, &labels),
     )
@@ -172,9 +171,10 @@ fn refit_under_load_is_bit_identical_to_stop_the_world() {
 
     // Under test: identical history, but the refit races PRODUCERS
     // threads of live score traffic through a 4-slot queue.
-    let racy = ScoringService::spawn_with_lifecycle(
+    let racy = Frontend::spawn_with_lifecycle(
         pipeline.clone(),
         fit(&pipeline, &train, &labels, IndexConfig::Exact),
+        1,
         racy_config(),
         manual_lifecycle(&train, &labels),
     )
@@ -272,9 +272,10 @@ fn append_threshold_arms_manual_refits() {
     let mut drift = triggers_off();
     drift.append_threshold = 8;
     let source = RefitSource::new(train.clone(), labels.clone()).expect("source");
-    let service = ScoringService::spawn_with_lifecycle(
+    let service = Frontend::spawn_with_lifecycle(
         pipeline.clone(),
         fit(&pipeline, &train, &labels, IndexConfig::Exact),
+        1,
         ServeConfig::default(),
         LifecycleConfig::new(source).with_drift(drift).manual(),
     )
@@ -316,9 +317,10 @@ fn background_refit_fires_on_append_threshold_and_matches_manual() {
     drift.append_threshold = burst_lines.len();
 
     // Comparator: same appends, explicit refit.
-    let manual = ScoringService::spawn_with_lifecycle(
+    let manual = Frontend::spawn_with_lifecycle(
         pipeline.clone(),
         fit(&pipeline, &train, &labels, IndexConfig::Exact),
+        1,
         ServeConfig::default(),
         manual_lifecycle(&train, &labels),
     )
@@ -333,9 +335,10 @@ fn background_refit_fires_on_append_threshold_and_matches_manual() {
     // Under test: the background worker must notice the armed trigger
     // and swap the new epoch in by itself.
     let source = RefitSource::new(train.clone(), labels.clone()).expect("source");
-    let background = ScoringService::spawn_with_lifecycle(
+    let background = Frontend::spawn_with_lifecycle(
         pipeline.clone(),
         fit(&pipeline, &train, &labels, IndexConfig::Exact),
+        1,
         ServeConfig::default(),
         LifecycleConfig::new(source).with_drift(drift),
     )
@@ -422,9 +425,10 @@ fn refit_swap_invalidates_the_shared_verdict_cache() {
 fn snapshot_racing_refits_is_atomic_or_typed() {
     let (pipeline, train, labels, test) = fixture();
     let (burst_lines, burst_labels) = burst(&test);
-    let service = ScoringService::spawn_with_lifecycle(
+    let service = Frontend::spawn_with_lifecycle(
         pipeline.clone(),
         fit(&pipeline, &train, &labels, IndexConfig::Exact),
+        1,
         ServeConfig::default(),
         manual_lifecycle(&train, &labels),
     )

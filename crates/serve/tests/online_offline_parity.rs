@@ -15,7 +15,7 @@ use corpus::dedup_records;
 use ids_rules::RuleIds;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serve::{ScoringService, ServeConfig};
+use serve::{Frontend, ServeConfig};
 use std::time::Duration;
 
 use anomaly::{PcaMethod, RetrievalMethod, VanillaKnnMethod};
@@ -82,9 +82,10 @@ fn online_scores(fx: &Fixture, index: IndexConfig, chunk: usize) -> Vec<(String,
     let store = EmbeddingStore::new(&fx.pipeline);
     let train = store.view_of(&fx.train_lines, Pooling::Mean);
     let fitted = engine(index).fit(&train, &fx.labels).expect("fit succeeds");
-    let service = ScoringService::spawn(
+    let service = Frontend::spawn(
         fx.pipeline.clone(),
         fitted,
+        1,
         ServeConfig {
             queue_capacity: 32,
             max_batch: 16,

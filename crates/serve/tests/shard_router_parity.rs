@@ -1,8 +1,8 @@
 //! The shard-aware serving stack's keystone claims, end to end:
 //!
 //! * a [`ShardRouter`] over exact shards returns verdicts
-//!   **bit-identical** to an unsharded [`ScoringService`] — scatter,
-//!   per-shard top-k, k-way merge and all — for every method, with
+//!   **bit-identical** to the same service with `shards == 1` —
+//!   scatter, per-shard top-k, k-way merge and all — for every method, with
 //!   resident (non-partitioned) detectors interleaved in registration
 //!   order;
 //! * live supervision routed to owning shards keeps that parity;
@@ -17,7 +17,7 @@ use corpus::dedup_records;
 use ids_rules::RuleIds;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serve::{RouterConfig, ScoringService, ServeConfig, ServeError, ShardRouter};
+use serve::{Frontend, RouterConfig, ServeConfig, ServeError, ShardRouter};
 
 use anomaly::{PcaMethod, RetrievalMethod, VanillaKnnMethod};
 
@@ -71,9 +71,10 @@ fn sharded_router_is_bit_identical_to_the_unsharded_service() {
     let (pipeline, train_lines, labels, test_lines) = fixture();
 
     // Reference: the single resident service over unsharded exact.
-    let service = ScoringService::spawn(
+    let service = Frontend::spawn(
         pipeline.clone(),
         fit(&pipeline, &train_lines, &labels, IndexConfig::Exact),
+        1,
         ServeConfig::default(),
     )
     .expect("reference service spawns");
@@ -197,7 +198,7 @@ fn quantized_shards_serve_identically_to_the_quantized_unsharded_service() {
     // index would.
     let (pipeline, train_lines, labels, test_lines) = fixture();
     let quant = cmdline_ids::engine::Quantization::I8;
-    let service = ScoringService::spawn(
+    let service = Frontend::spawn(
         pipeline.clone(),
         fit(
             &pipeline,
@@ -205,6 +206,7 @@ fn quantized_shards_serve_identically_to_the_quantized_unsharded_service() {
             &labels,
             IndexConfig::Exact.with_quant(quant),
         ),
+        1,
         ServeConfig::default(),
     )
     .expect("quantized reference service spawns");

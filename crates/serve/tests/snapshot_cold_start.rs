@@ -11,7 +11,7 @@ use corpus::dedup_records;
 use ids_rules::RuleIds;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serve::{ScoringService, ServeConfig, ServiceSnapshot};
+use serve::{Frontend, ServeConfig, ServiceSnapshot};
 
 use anomaly::{PcaMethod, RetrievalMethod, VanillaKnnMethod};
 
@@ -61,7 +61,7 @@ fn snapshot_round_trip_skips_graph_construction_and_preserves_scores() {
     snapshot.save(&path).expect("snapshot saves");
 
     // Baseline verdicts from the original resident set.
-    let service = ScoringService::spawn(pipeline.clone(), fitted, ServeConfig::default())
+    let service = Frontend::spawn(pipeline.clone(), fitted, 1, ServeConfig::default())
         .expect("service spawns");
     let want: Vec<Vec<f32>> = test_lines
         .iter()
@@ -83,7 +83,7 @@ fn snapshot_round_trip_skips_graph_construction_and_preserves_scores() {
     std::fs::remove_file(&path).ok();
 
     assert_eq!(restored.method_names(), ["retrieval", "vanilla-knn"]);
-    let cold = ScoringService::spawn(pipeline, restored, ServeConfig::default())
+    let cold = Frontend::spawn(pipeline, restored, 1, ServeConfig::default())
         .expect("cold service spawns");
     for (line, want_scores) in test_lines.iter().zip(&want) {
         let got = cold.score_line(line).expect("cold service scores");

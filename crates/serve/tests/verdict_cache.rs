@@ -4,7 +4,10 @@
 //! holds under a Zipf replay.
 
 use cmdline_ids::embed::Pooling;
-use cmdline_ids::engine::{EmbeddingStore, FittedEngine, IndexConfig, ScoringEngine};
+use cmdline_ids::engine::{
+    Detector, DetectorError, EmbeddingStore, EmbeddingView, FittedEngine, IndexConfig,
+    ScoringEngine,
+};
 use cmdline_ids::pipeline::{IdsPipeline, PipelineConfig};
 use corpus::{dedup_records, ZipfSampler};
 use ids_rules::RuleIds;
@@ -174,6 +177,80 @@ fn append_then_score_never_serves_a_stale_verdict() {
          if these match, the cache served a stale entry"
     );
     front.shutdown();
+}
+
+/// A resident detector that scores but refuses supervision.
+struct RefusesAppends;
+
+impl Detector for RefusesAppends {
+    fn name(&self) -> &str {
+        "refuses-appends"
+    }
+
+    fn fit(&mut self, _train: &EmbeddingView, _labels: &[bool]) -> Result<(), DetectorError> {
+        Ok(())
+    }
+
+    fn score_batch(&self, test: &EmbeddingView) -> Vec<f32> {
+        vec![0.0; test.len()]
+    }
+
+    fn absorbs_appends(&self) -> bool {
+        true
+    }
+
+    fn append(&mut self, _batch: &EmbeddingView, _labels: &[bool]) -> Result<bool, DetectorError> {
+        Err(DetectorError::EmptyTrainingSet)
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+}
+
+/// A failed append still invalidates the cache: by the time the second
+/// detector errs the first may already hold the new exemplars, so the
+/// `Err` must not leave pre-append verdicts hitting.
+#[test]
+fn a_failed_append_still_invalidates_cached_verdicts() {
+    let fx = fixture();
+    for shards in [1usize, 4] {
+        let mut detectors = fitted(fx, IndexConfig::Exact.with_shards(shards)).into_detectors();
+        detectors.truncate(1);
+        detectors.push(Box::new(RefusesAppends));
+        let front = Frontend::spawn(
+            fx.pipeline.clone(),
+            FittedEngine::from_detectors(detectors),
+            shards,
+            serve_config(),
+        )
+        .expect("spawn succeeds")
+        .with_cache(64)
+        .expect("nonzero capacity");
+        assert_eq!(front.method_names(), ["retrieval", "refuses-appends"]);
+
+        let line = fx.test_lines[0].clone();
+        front.score_line(&line).expect("front alive");
+        front.score_line(&line).expect("front alive");
+        let cached = front.stats();
+        assert_eq!(
+            (cached.cache_hits, cached.cache_misses),
+            (1, 1),
+            "the re-score hits ({shards} shard(s))"
+        );
+
+        front
+            .append(std::slice::from_ref(&line), &[true])
+            .expect_err("the second detector refuses the batch");
+        front.score_line(&line).expect("front alive");
+        let after = front.stats();
+        assert_eq!(
+            (after.cache_hits, after.cache_misses),
+            (1, 2),
+            "a failed append must turn the cached line into a miss ({shards} shard(s))"
+        );
+        front.shutdown();
+    }
 }
 
 /// The LRU capacity bound holds under a Zipf replay, evictions happen,

@@ -12,15 +12,14 @@
 //! [--shards N] [--quant f32|f16|i8]`
 //!
 //! With `--shards N` (N > 1) the exemplar indexes are partitioned N
-//! ways and served through the `ShardRouter`: micro-batches scatter to
-//! per-shard worker pools, per-shard top-k candidates merge back into
+//! ways and the same service feeds N shard pools: micro-batches scatter
+//! to per-shard worker pools, per-shard top-k candidates merge back into
 //! one verdict, appends route to the owning shard, and the snapshot
 //! carries one frame per shard. With `--quant f16|i8` every shard
 //! stores its candidates quantized — appends quantize on insert, and
 //! the snapshot frames the format + scales so the cold start serves
-//! the same compressed store. (CI smoke-runs the single service, the
-//! 4-way router, and the 4-way router over i8 candidates so none of
-//! the paths can rot.)
+//! the same compressed store. (CI smoke-runs `--shards 1`, `--shards 4`
+//! and `--shards 4 --quant i8` so no shape can rot.)
 
 use anomaly::{RetrievalMethod, VanillaKnnMethod};
 use cmdline_ids::embed::Pooling;
@@ -35,8 +34,8 @@ use std::time::{Duration, Instant};
 
 const PRODUCERS: usize = 4;
 
-/// One [`Frontend`] serves the whole tour: it wraps either a single
-/// micro-batching service or the shard router behind one API, so the
+/// One [`Frontend`] serves the whole tour: the one scoring service
+/// with zero (`--shards 1`) or N shard pools, so the
 /// replay/append/snapshot steps are identical across `--shards`.
 fn spawn_front(pipeline: IdsPipeline, fitted: FittedEngine, shards: usize) -> Frontend {
     Frontend::spawn(
