@@ -192,8 +192,8 @@ impl std::error::Error for DetectorError {}
 
 /// A fittable, batch-scoring detection method.
 ///
-/// `Send + Sync` so a fitted detector set can be scored from the
-/// engine's parallel per-detector fan-out.
+/// `Send + Sync` so one fitted detector set can be scored from the
+/// serving layer's concurrent batcher and shard-pool threads.
 pub trait Detector: Send + Sync {
     /// Stable method name (used for registration, reporting, fusion).
     fn name(&self) -> &str;

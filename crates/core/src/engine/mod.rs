@@ -349,47 +349,46 @@ impl FittedEngine {
         self.detectors.iter().any(|d| d.wants_embeddings())
     }
 
-    /// Scores the shared test view with every fitted detector.
-    ///
-    /// Scoring fans out across the fitted detectors on crossbeam-scoped
-    /// threads (they only share the immutable test view); output order
-    /// stays registration order. Detectors may parallelize internally
-    /// too (index batch queries, matmul row chunks), briefly
-    /// oversubscribing cores; threads are short-lived and the detector
-    /// count is small, so scheduling, not budgeting, absorbs it.
+    /// Scores the shared test view with every fitted detector; output
+    /// order is registration order.
     pub fn score(&self, test: &EmbeddingView) -> EngineRun {
         self.score_each(|_| test.clone())
     }
 
     /// [`FittedEngine::score`] with a per-detector test view (see
-    /// [`ScoringEngine::fit_each`] for the contract). `test_view` may
-    /// be called concurrently from the scoring fan-out.
-    pub fn score_each<F>(&self, test_view: F) -> EngineRun
+    /// [`ScoringEngine::fit_each`] for the contract).
+    ///
+    /// Detectors score one after another on the calling thread.
+    /// Whatever inside one is worth a second thread — an index scan, an
+    /// encoder matmul — splits itself evenly through [`linalg::par`],
+    /// and a per-detector split would forbid exactly that (workers
+    /// never split again) while balancing worse: retrieval indexes a
+    /// third of the rows vanilla kNN does. Measured on 2 vCPUs, 2
+    /// detectors × 3 000 lines × 8 000 exemplars: 303 ms this way,
+    /// 363 ms with a thread per detector, 469 ms with one detector per
+    /// worker; a 4-line micro-batch against 700 exemplars took 172 µs
+    /// with the two spawns and 45 µs without. What it costs: a
+    /// nine-kind table suite (1 000–3 400 lines × 8 000 exemplars),
+    /// where multi-line scoring is 85 % of the pass and a thread per
+    /// detector hid part of the rest behind it, scores ≈ 7 % slower
+    /// (median of 14 alternating runs; 0.1–0.3 s of a 20–60 s table
+    /// run). Detector chunks through the harness measured no better
+    /// than this loop there — one chunk still holds multi-line.
+    pub fn score_each<F>(&self, mut test_view: F) -> EngineRun
     where
-        F: Fn(&dyn Detector) -> EmbeddingView + Sync,
+        F: FnMut(&dyn Detector) -> EmbeddingView,
     {
-        let mut outputs: Vec<Option<MethodScores>> = Vec::with_capacity(self.detectors.len());
-        outputs.resize_with(self.detectors.len(), || None);
-        if self.detectors.len() <= 1 {
-            for (det, slot) in self.detectors.iter().zip(outputs.iter_mut()) {
-                *slot = Some(score_one(det.as_ref(), &test_view(det.as_ref())));
-            }
-        } else {
-            let test_view = &test_view;
-            crossbeam::scope(|scope| {
-                for (det, slot) in self.detectors.iter().zip(outputs.iter_mut()) {
-                    scope.spawn(move |_| {
-                        *slot = Some(score_one(det.as_ref(), &test_view(det.as_ref())));
-                    });
-                }
+        let outputs = self
+            .detectors
+            .iter()
+            .map(|det| MethodScores {
+                name: det.name().to_string(),
+                scores: det.score_batch(&test_view(det.as_ref())),
+                test_aligned: det.test_aligned(),
             })
-            .expect("detector scoring worker panicked");
-        }
+            .collect();
         EngineRun {
-            outputs: outputs
-                .into_iter()
-                .map(|o| o.expect("every detector scored"))
-                .collect(),
+            outputs,
             epoch: self.epoch,
         }
     }
@@ -431,15 +430,6 @@ impl FittedEngine {
     /// [`FittedEngine::append_each`] over one shared batch view.
     pub fn append(&mut self, batch: &EmbeddingView, labels: &[bool]) -> Result<usize, EngineError> {
         self.append_each(labels, |_| batch.clone())
-    }
-}
-
-/// Scores one fitted detector over the shared test view.
-fn score_one(det: &dyn Detector, test: &EmbeddingView) -> MethodScores {
-    MethodScores {
-        name: det.name().to_string(),
-        scores: det.score_batch(test),
-        test_aligned: det.test_aligned(),
     }
 }
 

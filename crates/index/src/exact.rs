@@ -168,49 +168,22 @@ impl ExactIndex {
         queries: &Matrix,
         k: usize,
     ) -> Vec<Vec<Neighbor>> {
-        let n = queries.rows();
-        let mut out: Vec<Vec<Neighbor>> = Vec::with_capacity(n);
-        out.resize_with(n, Vec::new);
-        if n == 0 || k == 0 {
+        let mut out = vec![Vec::new(); queries.rows()];
+        if k == 0 {
             return out;
         }
-        let threads = std::thread::available_parallelism()
-            .map(|t| t.get())
-            .unwrap_or(1);
-        // Whole query blocks per worker: a fan-out never splits one.
-        let chunk = n.div_ceil(threads).next_multiple_of(QUERY_BLOCK);
-        if chunk >= n || !crate::fan_out_pays(n, self.len()) {
-            self.scan_query_chunk(kernel, queries, 0, &mut out, k);
-            return out;
-        }
-        crossbeam::scope(|scope| {
-            for (ci, slice) in out.chunks_mut(chunk).enumerate() {
-                scope.spawn(move |_| {
-                    self.scan_query_chunk(kernel, queries, ci * chunk, slice, k);
-                });
+        // Whole query blocks per worker (a fan-out never splits one);
+        // all scratch is allocated once per worker.
+        let work = crate::scan_work(queries.rows(), self.len(), self.dim());
+        linalg::par::for_each_chunk_mut(&mut out, QUERY_BLOCK, work, |start, chunk| {
+            let mut scratch = ScanScratch::default();
+            for (b, slots) in chunk.chunks_mut(QUERY_BLOCK).enumerate() {
+                let first = start + b * QUERY_BLOCK;
+                let rows = (first..first + slots.len()).map(|r| queries.row(r));
+                self.scan_block(kernel, rows, k, &mut scratch, slots);
             }
-        })
-        .expect("index batch-query worker panicked");
+        });
         out
-    }
-
-    /// Scans query rows `[start, start + out.len())`, one
-    /// [`QUERY_BLOCK`] at a time, writing each query's top-k into its
-    /// `out` slot. All scratch is allocated here, once per worker.
-    fn scan_query_chunk(
-        &self,
-        kernel: I8Kernel,
-        queries: &Matrix,
-        start: usize,
-        out: &mut [Vec<Neighbor>],
-        k: usize,
-    ) {
-        let mut scratch = ScanScratch::default();
-        for (b, slots) in out.chunks_mut(QUERY_BLOCK).enumerate() {
-            let first = start + b * QUERY_BLOCK;
-            let rows = (first..first + slots.len()).map(|r| queries.row(r));
-            self.scan_block(kernel, rows, k, &mut scratch, slots);
-        }
     }
 
     /// The single-pass scan of one block of queries (one per `out`

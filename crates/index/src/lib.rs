@@ -9,7 +9,8 @@
 //!
 //! * [`ExactIndex`] — brute-force scan with candidate norms
 //!   precomputed once at build time and batch queries fanned out over
-//!   crossbeam-scoped threads. Results are **bit-identical** to the
+//!   threads when the scan is big enough ([`linalg::par`]). Results
+//!   are **bit-identical** to the
 //!   historical per-call [`linalg::ops::cosine_similarity`] scan
 //!   (asserted in this crate's tests and pinned end-to-end in
 //!   `crates/bench/tests/index_backends.rs`), so it is the
@@ -60,8 +61,8 @@ pub struct Neighbor {
 ///
 /// Implementations return neighbours sorted by descending similarity
 /// and clamp `k` to the candidate count. `Send + Sync` so fitted
-/// detectors holding a boxed index can be scored from the engine's
-/// parallel fan-out.
+/// detectors holding a boxed index can be scored from several threads
+/// at once (scan workers, the serving layer's batchers).
 pub trait VectorIndex: Send + Sync + std::fmt::Debug {
     /// Number of indexed candidates.
     fn len(&self) -> usize;
@@ -86,11 +87,9 @@ pub trait VectorIndex: Send + Sync + std::fmt::Debug {
     fn query(&self, query: &[f32], k: usize) -> Vec<Neighbor>;
 
     /// [`VectorIndex::query`] for every row of `queries`, in row
-    /// order. Backends fan large batches out across threads (see
-    /// [`query_rows_parallel`]).
-    fn query_batch(&self, queries: &Matrix, k: usize) -> Vec<Vec<Neighbor>> {
-        query_rows_parallel(self, queries, k)
-    }
+    /// order. Each backend splits a batch over threads by handing
+    /// [`linalg::par`] its own estimate of the batch's work.
+    fn query_batch(&self, queries: &Matrix, k: usize) -> Vec<Vec<Neighbor>>;
 
     /// Adds one candidate to the live index, returning its id (ids are
     /// dense: the new id is the previous [`VectorIndex::len`]). The
@@ -156,69 +155,13 @@ pub fn neighbour_cmp(a: &Neighbor, b: &Neighbor) -> std::cmp::Ordering {
         .then_with(|| a.id.cmp(&b.id))
 }
 
-/// Minimum query rows each batch worker should own: batches smaller
-/// than two workers' worth run inline rather than paying thread
-/// spawns.
-const MIN_ROWS_PER_WORKER: usize = 16;
-
-/// Scan work — query rows × candidate rows — below which the exact
-/// scans run inline instead of fanning out over scoped threads.
-///
-/// Sized from the reference container (2 cores, `std::thread::scope`):
-/// spawning and joining 2 idle workers takes 63–80 µs at the median
-/// (26 µs at best, 110–120 µs at p90), 4 workers 117–124 µs, while
-/// the cheapest scan — i8 × 32 dims through the tile kernel — costs
-/// ≈ 2.1 ns per row·query (21 µs per query at 10 000 rows). A fan-out
-/// over two cores therefore breaks even near 70 000 row·queries and
-/// over four shards near 115 000; at 2¹⁸ the spawns are at most a
-/// fifth of the scan they split (≈ 550 µs), so the fan-out is a clear
-/// win from the first batch that takes it. Wider rows and the f32/f16
-/// formats cost up to 12× more per row·query and merely start fanning
-/// out later than they could.
-const MIN_FAN_OUT_WORK: usize = 1 << 18;
-
-/// Whether a scan of `queries` query rows against `rows` candidates is
-/// big enough to pay for a thread fan-out: the one gate behind
-/// [`ExactIndex`]'s batch workers and [`ShardedIndex`]'s per-shard
-/// threads.
-pub(crate) fn fan_out_pays(queries: usize, rows: usize) -> bool {
-    queries.saturating_mul(rows) >= MIN_FAN_OUT_WORK
-}
-
-/// Shared batch-query harness: chunks `queries` by rows and runs
-/// [`VectorIndex::query`] per row, fanning chunks out over the
-/// crossbeam `scope` shim when the batch is large enough to amortize
-/// thread spawns. Output order matches query row order exactly.
-pub fn query_rows_parallel<I: VectorIndex + ?Sized>(
-    index: &I,
-    queries: &Matrix,
-    k: usize,
-) -> Vec<Vec<Neighbor>> {
-    let n = queries.rows();
-    let mut out: Vec<Vec<Neighbor>> = Vec::with_capacity(n);
-    out.resize_with(n, Vec::new);
-    let threads = std::thread::available_parallelism()
-        .map(|t| t.get())
-        .unwrap_or(1);
-    let chunk = n.div_ceil(threads).max(MIN_ROWS_PER_WORKER);
-    if n < 2 * MIN_ROWS_PER_WORKER || n <= chunk {
-        for (r, slot) in out.iter_mut().enumerate() {
-            *slot = index.query(queries.row(r), k);
-        }
-        return out;
-    }
-    crossbeam::scope(|scope| {
-        for (ci, slice) in out.chunks_mut(chunk).enumerate() {
-            let start = ci * chunk;
-            scope.spawn(move |_| {
-                for (i, slot) in slice.iter_mut().enumerate() {
-                    *slot = index.query(queries.row(start + i), k);
-                }
-            });
-        }
-    })
-    .expect("index batch-query worker panicked");
-    out
+/// Multiply-adds in a full scan of `queries` query rows against `rows`
+/// candidates of `dim` elements — the work estimate the exact and
+/// sharded scans hand [`linalg::par`], whose module doc records the i8
+/// scan measurement the threshold is sized from (2¹⁸ row·queries at
+/// 32 dims, before and after that module existed).
+pub(crate) fn scan_work(queries: usize, rows: usize, dim: usize) -> usize {
+    queries.saturating_mul(rows).saturating_mul(dim)
 }
 
 /// Which [`VectorIndex`] backend an [`IndexConfig`] builds.
@@ -493,9 +436,10 @@ mod tests {
     #[test]
     fn batch_matches_sequential_across_the_parallel_threshold() {
         let mut rng = StdRng::seed_from_u64(4);
-        let data = randn(&mut rng, 100, 6, 1.0);
-        // Enough query rows to trigger the threaded path on any core count.
-        let queries = randn(&mut rng, 700, 6, 1.0);
+        let data = randn(&mut rng, 2048, 8, 1.0);
+        // 700 × 2048 × 8 multiply-adds: past `linalg::par`'s threshold,
+        // so the batch is split wherever there is a second core.
+        let queries = randn(&mut rng, 700, 8, 1.0);
         let idx = ExactIndex::build(data);
         let batched = idx.query_batch(&queries, 3);
         assert_eq!(batched.len(), 700);

@@ -10,9 +10,9 @@
 //! and what makes `build(all rows)` equal `build(prefix) + insert(rest)`
 //! shard for shard.
 //!
-//! Queries fan out to every shard — in parallel over crossbeam-scoped
-//! threads when the index is big enough to amortize the spawns — and
-//! the per-shard top-k lists are k-way merged under the same
+//! Queries fan out to every shard — over threads when the scan is big
+//! enough to amortize the spawns ([`linalg::par`]) — and the per-shard
+//! top-k lists are k-way merged under the same
 //! `(similarity desc, id asc)` total order the exact scan sorts by.
 //! Because every shard of an exact-backed partition returns *its* true
 //! top-k with bit-identical similarities, the merged result is
@@ -295,11 +295,6 @@ impl ShardedIndex {
         }
         out
     }
-
-    /// Whether a fan-out over `rows` query rows is worth threads.
-    fn parallel_worth_it(&self, rows: usize) -> bool {
-        self.shards.len() > 1 && crate::fan_out_pays(rows, self.total)
-    }
 }
 
 /// K-way merge of per-shard sorted top-k lists into the global top-k
@@ -360,21 +355,13 @@ impl VectorIndex for ShardedIndex {
         if k == 0 || self.total == 0 {
             return Vec::new();
         }
-        let n = self.shards.len();
-        let mut per_shard: Vec<Vec<Neighbor>> = Vec::with_capacity(n);
-        if self.parallel_worth_it(1) {
-            per_shard.resize_with(n, Vec::new);
-            crossbeam::scope(|scope| {
-                for (s, slot) in per_shard.iter_mut().enumerate() {
-                    scope.spawn(move |_| *slot = self.query_shard(s, query, k));
-                }
-            })
-            .expect("shard query worker panicked");
-        } else {
-            for s in 0..n {
-                per_shard.push(self.query_shard(s, query, k));
+        let mut per_shard = vec![Vec::new(); self.shards.len()];
+        let work = crate::scan_work(1, self.total, self.dim);
+        linalg::par::for_each_chunk_mut(&mut per_shard, 1, work, |first, slots| {
+            for (i, slot) in slots.iter_mut().enumerate() {
+                *slot = self.query_shard(first + i, query, k);
             }
-        }
+        });
         let lists: Vec<&[Neighbor]> = per_shard.iter().map(Vec::as_slice).collect();
         merge_shard_topk(&lists, k)
     }
@@ -384,39 +371,19 @@ impl VectorIndex for ShardedIndex {
         if k == 0 || self.total == 0 {
             return vec![Vec::new(); rows];
         }
-        let n = self.shards.len();
-        // One batch per shard — each shard may additionally fan its
-        // own batch out over query rows (brief oversubscription on
-        // small hosts; scheduling absorbs it, as with the engine's
-        // detector fan-out).
-        let mut per_shard: Vec<Vec<Vec<Neighbor>>> = Vec::with_capacity(n);
-        if self.parallel_worth_it(rows) {
-            per_shard.resize_with(n, Vec::new);
-            crossbeam::scope(|scope| {
-                for (s, slot) in per_shard.iter_mut().enumerate() {
-                    scope.spawn(move |_| {
-                        let mut batch = self.shards[s].query_batch(queries, k);
-                        for row in &mut batch {
-                            for nb in row.iter_mut() {
-                                nb.id = self.globals[s][nb.id];
-                            }
-                        }
-                        *slot = batch;
-                    });
+        // One batch per shard; a shard scanned from a worker scans its
+        // batch inline.
+        let mut per_shard = vec![Vec::new(); self.shards.len()];
+        let work = crate::scan_work(rows, self.total, self.dim);
+        linalg::par::for_each_chunk_mut(&mut per_shard, 1, work, |first, slots| {
+            for (i, slot) in slots.iter_mut().enumerate() {
+                let s = first + i;
+                *slot = self.shards[s].query_batch(queries, k);
+                for nb in slot.iter_mut().flatten() {
+                    nb.id = self.globals[s][nb.id];
                 }
-            })
-            .expect("shard batch worker panicked");
-        } else {
-            for s in 0..n {
-                let mut batch = self.shards[s].query_batch(queries, k);
-                for row in &mut batch {
-                    for nb in row.iter_mut() {
-                        nb.id = self.globals[s][nb.id];
-                    }
-                }
-                per_shard.push(batch);
             }
-        }
+        });
         (0..rows)
             .map(|r| {
                 let lists: Vec<&[Neighbor]> =

@@ -4,6 +4,10 @@
 //!
 //! * [`Matrix`] — row-major dense matrices with (optionally parallel)
 //!   matrix multiplication, used by the `nn` transformer crate.
+//! * [`par`] — the one fan-out rule: every scoped-thread split below
+//!   the serving layer (matmul rows, attention sequences,
+//!   batched-forward lines, index scans) is a call of
+//!   [`par::for_each_chunk_mut`] with its work estimate.
 //! * [`eig::eigh`] — cyclic-Jacobi eigendecomposition of symmetric
 //!   matrices.
 //! * [`svd::thin_svd`] — thin SVD built on the eigendecomposition.
@@ -16,9 +20,9 @@
 //!   candidate scan and the encoder matmuls (exact-integer i8 dots,
 //!   bit-identical f32 GEMM tiles).
 //!
-//! Everything is pure Rust; parallelism uses scoped `crossbeam`
-//! threads. `unsafe` is denied workspace-wide except the two
-//! `core::arch` kernel modules (`kernels::x86`, `kernels::neon`),
+//! Everything is pure Rust; parallelism uses scoped `std` threads
+//! through [`par`] alone. `unsafe` is denied workspace-wide except
+//! the two `core::arch` kernel modules (`kernels::x86`, `kernels::neon`),
 //! which carry `#![deny(unsafe_op_in_unsafe_fn)]` and per-call safety
 //! comments — see `kernels`' module docs for the policy.
 #![deny(unsafe_code)]
@@ -27,6 +31,7 @@ pub mod eig;
 pub mod kernels;
 pub mod matrix;
 pub mod ops;
+pub mod par;
 pub mod pca;
 pub mod quant;
 pub mod rng;

@@ -4,9 +4,6 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Sub, SubAssign};
 
-/// Minimum work (rows × inner dim) before matmul spawns threads.
-const PARALLEL_THRESHOLD: usize = 64 * 64;
-
 /// A dense row-major matrix of `f32`.
 ///
 /// ```
@@ -270,8 +267,12 @@ impl Matrix {
         out
     }
 
-    /// Matrix product `self · other`, parallelized across row blocks when
-    /// the problem is large enough.
+    /// Matrix product `self · other` via the register-tiled micro-kernel
+    /// (`kernels::gemm_nn`), split across row blocks when its `m·k·n`
+    /// multiply-adds pay for threads ([`crate::par`]). Per-output
+    /// k-accumulation order (and the historical zero-skip on A
+    /// elements) is that of the old ikj loop whatever the split, so
+    /// results are bit-identical to it.
     ///
     /// # Panics
     ///
@@ -282,37 +283,22 @@ impl Matrix {
             "matmul shape mismatch: {}x{} · {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        if self.rows * self.cols >= PARALLEL_THRESHOLD && self.rows >= 4 {
-            self.matmul_parallel(other, &mut out);
-        } else {
-            matmul_block(
+        let (inner, ocols) = (self.cols, other.cols);
+        let mut out = Matrix::zeros(self.rows, ocols);
+        let work = self.rows * inner * ocols;
+        crate::par::for_each_chunk_mut(&mut out.data, ocols, work, |first, chunk| {
+            let (row_start, nrows) = (first / ocols, chunk.len() / ocols);
+            crate::kernels::gemm_nn(
                 &self.data,
                 &other.data,
-                &mut out.data,
-                0,
-                self.rows,
-                self.cols,
-                other.cols,
+                chunk,
+                row_start,
+                nrows,
+                inner,
+                ocols,
             );
-        }
-        out
-    }
-
-    fn matmul_parallel(&self, other: &Matrix, out: &mut Matrix) {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .min(self.rows);
-        let rows_per = self.rows.div_ceil(threads);
-        let inner = self.cols;
-        let ocols = other.cols;
-        let a = &self.data;
-        let b = &other.data;
-        crate::ops::parallel_row_chunks(&mut out.data, ocols, rows_per, |row_start, chunk| {
-            let nrows = chunk.len() / ocols;
-            matmul_block_into(a, b, chunk, row_start, nrows, inner, ocols);
         });
+        out
     }
 
     /// `self · otherᵀ` without materializing the transpose, via the
@@ -387,43 +373,6 @@ impl Matrix {
         }
         mean
     }
-}
-
-fn matmul_block(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    row_start: usize,
-    nrows: usize,
-    inner: usize,
-    ocols: usize,
-) {
-    matmul_block_into(
-        a,
-        b,
-        &mut out[row_start * ocols..],
-        row_start,
-        nrows,
-        inner,
-        ocols,
-    );
-}
-
-/// Computes rows `[row_start, row_start+nrows)` of `A·B` into `chunk`
-/// (which holds exactly those output rows) via the register-tiled
-/// micro-kernel. Per-output k-accumulation order (and the historical
-/// zero-skip on A elements) is unchanged, so results are bit-identical
-/// to the old ikj loop — see `kernels::gemm_nn`.
-fn matmul_block_into(
-    a: &[f32],
-    b: &[f32],
-    chunk: &mut [f32],
-    row_start: usize,
-    nrows: usize,
-    inner: usize,
-    ocols: usize,
-) {
-    crate::kernels::gemm_nn(a, b, chunk, row_start, nrows, inner, ocols);
 }
 
 /// Dot product of two equal-length slices.
@@ -572,16 +521,18 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial() {
-        // Big enough to trip the parallel path.
-        let a = Matrix::from_fn(80, 80, |r, c| ((r * 31 + c * 17) % 13) as f32 - 6.0);
-        let b = Matrix::from_fn(80, 80, |r, c| ((r * 7 + c * 3) % 11) as f32 - 5.0);
+        // 208³ multiply-adds: past `par`'s threshold (2²³), so the row
+        // blocks are split wherever there is a second core.
+        let n = 208;
+        let a = Matrix::from_fn(n, n, |r, c| ((r * 31 + c * 17) % 13) as f32 - 6.0);
+        let b = Matrix::from_fn(n, n, |r, c| ((r * 7 + c * 3) % 11) as f32 - 5.0);
         let big = a.matmul(&b);
         // Serial reference.
-        let mut reference = Matrix::zeros(80, 80);
-        for r in 0..80 {
-            for c in 0..80 {
+        let mut reference = Matrix::zeros(n, n);
+        for r in 0..n {
+            for c in 0..n {
                 let mut s = 0.0;
-                for k in 0..80 {
+                for k in 0..n {
                     s += a[(r, k)] * b[(k, c)];
                 }
                 reference[(r, c)] = s;
@@ -663,9 +614,16 @@ mod tests {
     fn tiled_matmuls_are_bit_identical_to_the_naive_loops() {
         // The historical kernels, verbatim: ikj with zero-skip for
         // matmul, per-output sequential dot for matmul_transposed.
-        // Shapes straddle the register-tile edges and the parallel
-        // threshold.
-        for (m, k, n) in [(1, 1, 1), (3, 5, 7), (13, 9, 17), (65, 64, 66)] {
+        // Shapes straddle the register-tile edges; the last is past
+        // `par`'s threshold (2²³ multiply-adds), so it is split over
+        // row blocks wherever there is a second core.
+        for (m, k, n) in [
+            (1, 1, 1),
+            (3, 5, 7),
+            (13, 9, 17),
+            (65, 64, 66),
+            (257, 128, 256),
+        ] {
             let a = Matrix::from_fn(m, k, |r, c| {
                 if (r + c) % 5 == 0 {
                     0.0

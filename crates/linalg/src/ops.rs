@@ -149,53 +149,6 @@ pub fn normalize_inplace(v: &mut [f32]) {
     }
 }
 
-/// Splits a row-major buffer of `row_width`-float rows into
-/// `rows_per_chunk`-row chunks and runs `work(first_row, chunk)` on
-/// each, fanned out across threads when more than one chunk exists
-/// (single-chunk calls run inline, thread-spawn-free). The shared
-/// harness behind `Matrix::matmul`'s row parallelism and the batched
-/// attention forward.
-///
-/// # Panics
-///
-/// Panics if `buf.len()` is not a multiple of `row_width` or either
-/// size is zero while the buffer is non-empty.
-pub fn parallel_row_chunks<F>(buf: &mut [f32], row_width: usize, rows_per_chunk: usize, work: F)
-where
-    F: Fn(usize, &mut [f32]) + Sync,
-{
-    if buf.is_empty() {
-        return;
-    }
-    assert!(row_width > 0 && rows_per_chunk > 0, "degenerate chunking");
-    assert_eq!(buf.len() % row_width, 0, "buffer is not whole rows");
-    let chunk_len = rows_per_chunk * row_width;
-    if buf.len() <= chunk_len {
-        work(0, buf);
-        return;
-    }
-    let chunks: Vec<(usize, &mut [f32])> = {
-        let mut start_row = 0usize;
-        let mut rem = buf;
-        let mut v = Vec::new();
-        while !rem.is_empty() {
-            let take = chunk_len.min(rem.len());
-            let (head, tail) = rem.split_at_mut(take);
-            v.push((start_row, head));
-            start_row += take / row_width;
-            rem = tail;
-        }
-        v
-    };
-    crossbeam::scope(|scope| {
-        for (start_row, chunk) in chunks {
-            let work = &work;
-            scope.spawn(move |_| work(start_row, chunk));
-        }
-    })
-    .expect("row-chunk worker panicked");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

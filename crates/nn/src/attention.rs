@@ -93,30 +93,9 @@ impl MultiHeadAttention {
         )
     }
 
-    /// Inference-only forward over one sequence: the exact float
-    /// operations of [`MultiHeadAttention::forward`], skipping the
-    /// backward caches.
-    pub fn apply(&self, x: &Matrix) -> Matrix {
-        let q = self.wq.apply(x);
-        let k = self.wk.apply(x);
-        let v = self.wv.apply(x);
-        let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let mut ctx = Matrix::zeros(x.rows(), self.heads * self.head_dim);
-        for h in 0..self.heads {
-            let off = h * self.head_dim;
-            let qh = q.col_block(off, self.head_dim);
-            let kh = k.col_block(off, self.head_dim);
-            let vh = v.col_block(off, self.head_dim);
-            let mut scores = qh.matmul_transposed(&kh);
-            scores.map_inplace(|s| s * scale);
-            softmax_rows_inplace(&mut scores);
-            ctx.set_col_block(off, &scores.matmul(&vh));
-        }
-        self.wo.apply(&ctx)
-    }
-
     /// Inference-only forward over `nseq = x.rows() / seq_len`
-    /// equal-length sequences stacked row-wise.
+    /// equal-length sequences stacked row-wise (`seq_len == x.rows()`
+    /// is the one-sequence case).
     ///
     /// The Q/K/V/O projections run as single large matmuls over the
     /// whole stack (the O(s·d²) bulk of the layer); the O(s²·d)
@@ -137,59 +116,44 @@ impl MultiHeadAttention {
             "stacked rows {} not a multiple of seq_len {seq_len}",
             x.rows()
         );
-        let nseq = x.rows() / seq_len;
-        if nseq == 1 {
-            return self.apply(x);
-        }
         let q = self.wq.apply(x);
         let k = self.wk.apply(x);
         let v = self.wv.apply(x);
         let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let width = self.heads * self.head_dim;
+        let (heads, head_dim) = (self.heads, self.head_dim);
+        let width = heads * head_dim;
 
         let mut ctx = Matrix::zeros(x.rows(), width);
-        {
-            // Per-sequence row chunks of ctx: sequences are independent,
-            // so workers write disjoint rows. The fan-out (and its
-            // inline single-chunk fast path) is linalg's shared harness.
-            let threads = std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-                .min(nseq);
-            let seqs_per = nseq.div_ceil(threads);
-            let heads = self.heads;
-            let head_dim = self.head_dim;
-            let (q, k, v) = (&q, &k, &v);
-            linalg::ops::parallel_row_chunks(
-                ctx.as_mut_slice(),
-                width,
-                seqs_per * seq_len,
-                |start_row, chunk| {
-                    let seq_start = start_row / seq_len;
-                    let nlocal = chunk.len() / (seq_len * width);
-                    for local in 0..nlocal {
-                        let row0 = (seq_start + local) * seq_len;
-                        for h in 0..heads {
-                            let off = h * head_dim;
-                            // Contiguous per-sequence, per-head views, then
-                            // the same matmuls the single-sequence pass runs.
-                            let qh = q.sub_block(row0, seq_len, off, head_dim);
-                            let kh = k.sub_block(row0, seq_len, off, head_dim);
-                            let vh = v.sub_block(row0, seq_len, off, head_dim);
-                            let mut scores = qh.matmul_transposed(&kh);
-                            scores.map_inplace(|s| s * scale);
-                            softmax_rows_inplace(&mut scores);
-                            let ctx_h = scores.matmul(&vh);
-                            for r in 0..seq_len {
-                                let dst_start = (local * seq_len + r) * width + off;
-                                chunk[dst_start..dst_start + head_dim]
-                                    .copy_from_slice(ctx_h.row(r));
-                            }
+        // Sequences are independent, so the core splits on whole
+        // sequences of ctx rows. Its multiply-adds: per sequence and
+        // head, scores (T²·head_dim) plus context (T²·head_dim).
+        let work = x.rows() * 2 * seq_len * width;
+        linalg::par::for_each_chunk_mut(
+            ctx.as_mut_slice(),
+            seq_len * width,
+            work,
+            |first, chunk| {
+                let first_row = first / width;
+                for (local, seq) in chunk.chunks_exact_mut(seq_len * width).enumerate() {
+                    let row0 = first_row + local * seq_len;
+                    for h in 0..heads {
+                        let off = h * head_dim;
+                        // Contiguous per-sequence, per-head views, then
+                        // the same matmuls the training forward runs.
+                        let qh = q.sub_block(row0, seq_len, off, head_dim);
+                        let kh = k.sub_block(row0, seq_len, off, head_dim);
+                        let vh = v.sub_block(row0, seq_len, off, head_dim);
+                        let mut scores = qh.matmul_transposed(&kh);
+                        scores.map_inplace(|s| s * scale);
+                        softmax_rows_inplace(&mut scores);
+                        let ctx_h = scores.matmul(&vh);
+                        for (r, dst) in seq.chunks_exact_mut(width).enumerate() {
+                            dst[off..off + head_dim].copy_from_slice(ctx_h.row(r));
                         }
                     }
-                },
-            );
-        }
+                }
+            },
+        );
         self.wo.apply(&ctx)
     }
 

@@ -180,8 +180,8 @@ impl Encoder {
     /// batched forward on them).
     pub fn forward_batch(&self, seqs: &[Vec<u32>]) -> Vec<Matrix> {
         let mut out: Vec<Option<Matrix>> = (0..seqs.len()).map(|_| None).collect();
-        self.forward_batch_visit(seqs, |i, stacked, row0, len| {
-            out[i] = Some(stacked.row_block(row0, len));
+        self.forward_batch_visit(seqs, &mut out, 1, |slot, stacked, row0, len| {
+            slot[0] = Some(stacked.row_block(row0, len));
         });
         out.into_iter()
             .map(|m| m.expect("every sequence visited"))
@@ -193,18 +193,22 @@ impl Encoder {
     pub fn embed_mean_batch(&self, seqs: &[Vec<u32>]) -> Matrix {
         let hidden = self.config.hidden;
         let mut out = Matrix::zeros(seqs.len(), hidden);
-        self.forward_batch_visit(seqs, |i, stacked, row0, len| {
-            let dst = out.row_mut(i);
-            for r in 0..len {
-                for (o, v) in dst.iter_mut().zip(stacked.row(row0 + r)) {
-                    *o += v;
+        self.forward_batch_visit(
+            seqs,
+            out.as_mut_slice(),
+            hidden,
+            |dst, stacked, row0, len| {
+                for r in 0..len {
+                    for (o, v) in dst.iter_mut().zip(stacked.row(row0 + r)) {
+                        *o += v;
+                    }
                 }
-            }
-            let n = len as f32;
-            for o in dst.iter_mut() {
-                *o /= n;
-            }
-        });
+                let n = len as f32;
+                for o in dst.iter_mut() {
+                    *o /= n;
+                }
+            },
+        );
         out
     }
 
@@ -213,51 +217,82 @@ impl Encoder {
     pub fn embed_cls_batch(&self, seqs: &[Vec<u32>]) -> Matrix {
         let hidden = self.config.hidden;
         let mut out = Matrix::zeros(seqs.len(), hidden);
-        self.forward_batch_visit(seqs, |i, stacked, row0, _| {
-            out.row_mut(i).copy_from_slice(stacked.row(row0));
+        self.forward_batch_visit(seqs, out.as_mut_slice(), hidden, |dst, stacked, row0, _| {
+            dst.copy_from_slice(stacked.row(row0));
         });
         out
     }
 
-    /// Shared batched-forward core: buckets `seqs` by exact length,
-    /// stacks each bucket (capped at [`Encoder::MAX_BATCH_ROWS`] rows
-    /// to bound peak memory), runs the blocks, and hands each
-    /// sequence's hidden-state rows to `visit` as
-    /// `(seq_index, stacked_matrix, first_row, seq_len)`.
-    fn forward_batch_visit(
+    /// Multiply-adds of one `len`-token forward, the unit
+    /// [`linalg::par`] counts work in: per block the Q/K/V/O
+    /// projections (`4·h²` a token), the FFN (`2·h·ff`) and the
+    /// attention core (`2·len·h`). The row-wise rest — layer norms,
+    /// GELU, softmax, residuals — is not counted, so a forward costs
+    /// more time than this says and merely splits later than it could.
+    fn forward_work(&self, len: usize) -> usize {
+        let (h, ff) = (self.config.hidden, self.config.ff_dim());
+        self.blocks.len() * len * (4 * h * h + 2 * h * ff + 2 * len * h)
+    }
+
+    /// Shared batched-forward core. `out` holds `width` slots per
+    /// sequence; the batch is split over whole sequences when its
+    /// forwards together pay for threads ([`linalg::par`] — one split
+    /// per batch, inside which no matmul splits again; a sequence's
+    /// output does not depend on what it is stacked with, so neither on
+    /// the split). Each part buckets its sequences by exact length,
+    /// stacks each bucket (capped at its share of
+    /// [`Encoder::MAX_BATCH_ROWS`] rows, so the call's peak memory is
+    /// the same on any thread count), runs the blocks, and hands
+    /// `visit` each sequence's slots and hidden-state rows as
+    /// `(slots, stacked_matrix, first_row, seq_len)`.
+    fn forward_batch_visit<T: Send>(
         &self,
         seqs: &[Vec<u32>],
-        mut visit: impl FnMut(usize, &Matrix, usize, usize),
+        out: &mut [T],
+        width: usize,
+        visit: impl Fn(&mut [T], &Matrix, usize, usize) + Sync,
     ) {
         use std::collections::BTreeMap;
         let hidden = self.config.hidden;
-        let mut buckets: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (i, ids) in seqs.iter().enumerate() {
-            buckets.entry(ids.len()).or_default().push(i);
-        }
-        for (len, idxs) in buckets {
-            let per_batch = (Self::MAX_BATCH_ROWS / len.max(1)).max(1);
-            for chunk in idxs.chunks(per_batch) {
-                let mut x = Matrix::zeros(chunk.len() * len, hidden);
-                for (b, &i) in chunk.iter().enumerate() {
-                    self.embeddings.lookup_into(
-                        &seqs[i],
-                        &mut x.as_mut_slice()[b * len * hidden..(b + 1) * len * hidden],
-                    );
-                }
-                for block in &self.blocks {
-                    x = block.apply_batched(&x, len);
-                }
-                for (b, &i) in chunk.iter().enumerate() {
-                    visit(i, &x, b * len, len);
+        let work = seqs.iter().map(|ids| self.forward_work(ids.len())).sum();
+        linalg::par::for_each_chunk_mut(out, width, work, |first, out| {
+            let batch = seqs.len();
+            let seqs = &seqs[first / width..][..out.len() / width];
+            let max_rows = Self::MAX_BATCH_ROWS * seqs.len() / batch;
+            let mut buckets: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+            for (i, ids) in seqs.iter().enumerate() {
+                buckets.entry(ids.len()).or_default().push(i);
+            }
+            for (len, idxs) in buckets {
+                let per_batch = (max_rows / len.max(1)).max(1);
+                for chunk in idxs.chunks(per_batch) {
+                    let mut x = Matrix::zeros(chunk.len() * len, hidden);
+                    for (b, &i) in chunk.iter().enumerate() {
+                        self.embeddings.lookup_into(
+                            &seqs[i],
+                            &mut x.as_mut_slice()[b * len * hidden..(b + 1) * len * hidden],
+                        );
+                    }
+                    for block in &self.blocks {
+                        x = block.apply_batched(&x, len);
+                    }
+                    for (b, &i) in chunk.iter().enumerate() {
+                        visit(&mut out[i * width..(i + 1) * width], &x, b * len, len);
+                    }
                 }
             }
-        }
+        });
     }
 
-    /// Upper bound on stacked rows per batched forward (bounds the
-    /// transient Q/K/V/context matrices to a few MB at typical widths).
-    const MAX_BATCH_ROWS: usize = 8_192;
+    /// Upper bound on the rows a batched forward has stacked at once,
+    /// over all its threads: bounds the transient Q/K/V/context/FFN
+    /// matrices to ≈ 3 MB at hidden 32. Sized by resident memory, not
+    /// speed — embedding 40 000 lines takes the same 2.8 s at 1 024,
+    /// 2 048, 4 096 and 8 192 rows, while the process peaks at 41–43,
+    /// 43, 45 and 48–55 MiB: what a thread frees stays in its own
+    /// allocator arena, so multi-MB transients on two threads are held
+    /// twice.
+    const MAX_BATCH_ROWS: usize = 2_048;
 
     /// Mean-pooled sequence embedding — the paper's average pooling over
     /// token embeddings for PCA detection (Section III).
