@@ -8,8 +8,7 @@
 //! de-duplicated test split, and packs scores into
 //! [`ScoredSample`]s. The multi-method table binaries therefore embed
 //! the test split once per pooling mode instead of once per method —
-//! see `tests/engine_suite.rs` for the hit-count proof and
-//! `benches/engine.rs` for the measured speedup.
+//! see `tests/engine_suite.rs` for the hit-count proof.
 
 use crate::Experiment;
 use anomaly::{

@@ -1,9 +1,10 @@
-//! Machine-readable perf records for the scale benches.
+//! The JSON value, writer and parser that `f1_comparison` and the load
+//! benchmark (`benchmark/`, `loadbench`) share.
 //!
-//! The `quant_scale` and `shard_scale` benches print human-readable
-//! tables *and* persist the same figures as JSON (`BENCH_quant.json`,
-//! `BENCH_shard.json` at the workspace root) so CI and the roadmap
-//! tables can diff throughput regressions without scraping stdout.
+//! `f1_comparison` records the paper's fidelity tables as the two
+//! sections of `BENCH_scenarios.json` through [`merge_report`];
+//! `loadbench`'s suite mode [`parse`]s the report each child process
+//! prints. Speed figures live in the load benchmark alone.
 //!
 //! The workspace has no JSON dependency, so the writer is a tiny
 //! hand-rolled serializer over a [`Value`] tree: objects preserve
@@ -13,7 +14,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-/// A minimal JSON value: everything the perf records need, nothing more.
+/// A minimal JSON value: everything the reports need, nothing more.
 #[derive(Debug, Clone)]
 pub enum Value {
     /// JSON string.
@@ -136,14 +137,15 @@ fn write_escaped(out: &mut String, s: &str) {
 }
 
 /// Parse the JSON subset [`Value::to_json`] emits (plus arbitrary
-/// whitespace), so two benches can share one report file: one reads
-/// the sections the other wrote before rewriting. Not a general JSON
-/// parser — `null` degrades to a non-finite [`Value::Float`] exactly
-/// as the writer degrades non-finite floats to `null`.
+/// whitespace): a report file read back before one section of it is
+/// rewritten, or a child process's report. Not a general JSON parser —
+/// `null` degrades to a non-finite [`Value::Float`] exactly as the
+/// writer degrades non-finite floats to `null`, and containers nested
+/// more than 64 deep are an error.
 pub fn parse(input: &str) -> Result<Value, String> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing bytes at offset {pos}"));
@@ -166,9 +168,18 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// Containers [`parse`] follows inwards — ten times what the writers
+/// emit. `parse_value` recurses once per `[` / `{` of input that comes
+/// from a file or a child process, so without a cap a damaged report
+/// overflows the stack instead of returning `Err`.
+const MAX_DEPTH: usize = 64;
+
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at offset {pos}"))
+        }
         Some(b'{') => {
             *pos += 1;
             let mut entries = Vec::new();
@@ -182,7 +193,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                entries.push((key, parse_value(bytes, pos)?));
+                entries.push((key, parse_value(bytes, pos, depth + 1)?));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -203,7 +214,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
                 return Ok(Value::Array(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -293,24 +304,11 @@ fn report_path(file_name: &str) -> PathBuf {
         .join(file_name)
 }
 
-/// Write a perf record to `<workspace root>/<file_name>`.
-///
-/// Returns the path written so benches can print it. The workspace
-/// root is resolved relative to this crate's manifest, so the record
-/// lands in the same place no matter which directory the bench runs
-/// from.
-pub fn write_report(file_name: &str, record: &Value) -> PathBuf {
-    let path = report_path(file_name);
-    std::fs::write(&path, record.to_json())
-        .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
-    path
-}
-
 /// Replace one top-level `section` of `<workspace root>/<file_name>`
-/// with `record`, preserving every other section — how two benches
-/// (`serve_throughput`, `net_throughput`) share one report file
-/// without clobbering each other's figures. A missing or unparseable
-/// file starts fresh; other sections' order is preserved.
+/// with `record`, preserving every other section — how
+/// `f1_comparison`'s headline and scenario tables share
+/// `BENCH_scenarios.json` without clobbering each other. A missing or
+/// unparseable file starts fresh; other sections' order is preserved.
 pub fn merge_report(file_name: &str, section: &str, record: Value) -> PathBuf {
     let path = report_path(file_name);
     let mut root = std::fs::read_to_string(&path)
@@ -342,12 +340,12 @@ mod tests {
             .push("bytes_per_query", Value::Int(64))
             .push("exact", Value::Bool(true));
         let mut root = Value::object();
-        root.push("bench", Value::Str("quant_scale".into()))
+        root.push("bench", Value::Str("f1_comparison".into()))
             .push("rows", Value::Array(vec![row]));
         let json = root.to_json();
         assert_eq!(
             json,
-            "{\n  \"bench\": \"quant_scale\",\n  \"rows\": [\n    {\n      \
+            "{\n  \"bench\": \"f1_comparison\",\n  \"rows\": [\n    {\n      \
              \"format\": \"i8\",\n      \"q_per_ms\": 3.25,\n      \
              \"bytes_per_query\": 64,\n      \"exact\": true\n    }\n  ]\n}\n"
         );
@@ -397,6 +395,20 @@ mod tests {
         assert!(parse("[1, 2").is_err());
         assert!(parse("{} trailing").is_err());
         assert!(parse("\"unterminated").is_err());
+
+        let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
+        // Unbounded recursion over 100 000 brackets needs tens of MiB
+        // of stack and would abort the process; on 256 KiB only the
+        // depth cap can return at all.
+        let hostile = std::thread::Builder::new()
+            .stack_size(256 << 10)
+            .spawn(|| parse(&"[{\"a\":".repeat(50_000)))
+            .expect("thread spawns")
+            .join()
+            .expect("parser returns");
+        assert!(hostile.is_err());
     }
 
     #[test]
@@ -483,69 +495,6 @@ mod tests {
             matches!(&entries[1].1, Value::Object(s)
                 if matches!(&s[0].1, Value::Array(rows) if rows.is_empty())),
             "the rerun replaced the scenario rows"
-        );
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn merge_report_co_writes_four_sections_without_clobbering() {
-        // The shape BENCH_serve.json actually has: the micro-batching,
-        // net, lifecycle, and tenant-scale benches each own one
-        // top-level section of the same file and must never clobber
-        // the other three, whatever order the benches run in.
-        let file = "BENCH_test_four_sections.json";
-        let path = report_path(file);
-        let _ = std::fs::remove_file(&path);
-
-        let mut micro = Value::object();
-        micro.push("e2e_speedup", Value::Float(2.2));
-        merge_report(file, "micro_batching", micro);
-        let mut net = Value::object();
-        net.push("hit_rate", Value::Float(0.9));
-        merge_report(file, "net", net);
-        let mut lifecycle = Value::object();
-        lifecycle
-            .push("under_load_refit_ms", Value::Float(120.5))
-            .push("parity", Value::Str("bit-identical".into()));
-        merge_report(file, "lifecycle", lifecycle);
-        let mut tenants = Value::object();
-        tenants
-            .push("tenants", Value::Int(10_000))
-            .push("hot_over_cold", Value::Float(3.5));
-        let written = merge_report(file, "tenants", tenants);
-
-        let root = parse(&std::fs::read_to_string(&written).unwrap()).unwrap();
-        let Value::Object(entries) = root else {
-            panic!("root is an object")
-        };
-        assert_eq!(
-            entries.iter().map(|(k, _)| k.as_str()).collect::<Vec<_>>(),
-            ["micro_batching", "net", "lifecycle", "tenants"],
-            "all four sections present, insertion order preserved"
-        );
-
-        // Re-running the tenant bench replaces only its section.
-        let mut rerun = Value::object();
-        rerun.push("tenants", Value::Int(20_000));
-        merge_report(file, "tenants", rerun);
-        let root = parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        let Value::Object(entries) = root else {
-            panic!("root is an object")
-        };
-        assert_eq!(entries.len(), 4, "a rerun must not drop sections");
-        let Value::Object(section) = &entries[3].1 else {
-            panic!("tenants section is an object")
-        };
-        assert!(
-            matches!(section[0].1, Value::Int(20_000)),
-            "rerun replaces the tenant figures"
-        );
-        let Value::Object(micro) = &entries[0].1 else {
-            panic!("micro_batching section is an object")
-        };
-        assert!(
-            matches!(micro[0].1, Value::Float(f) if f == 2.2),
-            "the other benches' figures survive untouched"
         );
         let _ = std::fs::remove_file(&path);
     }

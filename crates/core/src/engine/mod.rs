@@ -156,7 +156,9 @@ impl ScoringEngine {
     /// format on top of the configured backend (the `--quant` CLI
     /// knob): f32 is bit-identical to the historical scans, f16/i8
     /// trade ≤ 1-ulp / ≤ scale/2 element error for 2×/4× less
-    /// candidate memory bandwidth (`benches/quant_scale.rs`).
+    /// candidate memory bandwidth (`index.bytes_per_query` on the load
+    /// benchmark's `scan_sharded`; what the narrower formats must keep
+    /// is gated by `index/tests/quantized.rs`).
     pub fn with_quant(mut self, quant: Quantization) -> Self {
         let base = self.index_config.unwrap_or_default();
         self.index_config = Some(base.with_quant(quant));

@@ -28,7 +28,8 @@ const QUERY_BLOCK: usize = 16;
 ///
 /// Candidates live in a [`QuantizedMatrix`]: the default f32 storage
 /// reproduces the historical kernels bit for bit, while f16/i8 halve
-/// or quarter the bytes each scan streams (`benches/quant_scale.rs`).
+/// or quarter the bytes each scan streams (what they must keep in
+/// exchange is gated by `tests/quantized.rs`).
 /// Norms stay the **original f32** row norms in every format — the
 /// quantized kernels reuse the same cache.
 ///
@@ -160,8 +161,8 @@ impl ExactIndex {
 
     /// [`VectorIndex::query_batch`] through an explicitly chosen i8
     /// kernel. Every kernel returns identical neighbours (exact
-    /// integer arithmetic); the knob exists for the parity suites and
-    /// the scalar/SIMD rows of `benches/quant_scale.rs`.
+    /// integer arithmetic); the knob exists for the parity suites
+    /// (`tests/blocked_scan.rs`).
     pub fn query_batch_with_kernel(
         &self,
         kernel: I8Kernel,

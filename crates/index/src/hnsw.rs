@@ -92,11 +92,10 @@ pub struct HnswParams {
 
 impl Default for HnswParams {
     fn default() -> Self {
-        // Tuned on 10k × 64-dim sets (see `benches/retrieval_scale.rs`):
-        // recall@1 ≈ 0.99 on both isotropic-Gaussian and
-        // cluster-structured data, at ≈ 3× / 10× the exact scan's
-        // batch throughput respectively. Lower `ef_search` for more
-        // speed at the cost of recall.
+        // Tuned on 10k × 64-dim sets: recall@1 ≈ 0.99 on both
+        // isotropic-Gaussian and cluster-structured data (the latter
+        // gated at ≥ 0.99 by `tests/recall.rs`). Lower `ef_search` for
+        // more speed at the cost of recall.
         HnswParams {
             m: 24,
             ef_construction: 300,

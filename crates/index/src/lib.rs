@@ -115,10 +115,9 @@ pub trait VectorIndex: Send + Sync + std::fmt::Debug {
     }
 
     /// Bytes the candidate storage occupies — codes plus any per-row
-    /// scales (the figure the quantization benches compare; one exact
-    /// scan streams exactly this many bytes per query). The default
-    /// covers scale-free formats; i8-capable backends override to
-    /// include their scale vectors.
+    /// scales (one exact scan streams exactly this many bytes per
+    /// query). The default covers scale-free formats; i8-capable
+    /// backends override to include their scale vectors.
     fn candidate_bytes(&self) -> usize {
         self.len() * self.dim() * self.quantization().bytes_per_element()
     }

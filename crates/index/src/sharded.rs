@@ -17,11 +17,12 @@
 //! Because every shard of an exact-backed partition returns *its* true
 //! top-k with bit-identical similarities, the merged result is
 //! **bit-identical to the unsharded [`ExactIndex`]**, ids included
-//! (pinned by `tests/sharded.rs` and end-to-end by the serve-layer
+//! (pinned by this module's tests and end-to-end by the serve-layer
 //! parity suites). HNSW-backed shards stay approximate, but each shard
 //! searches a graph 1/N the size — a narrower beam per shard buys the
-//! same recall, and a multi-core host runs the N beams concurrently
-//! (`benches/shard_scale.rs`). Exact-backed shards inherit the
+//! same recall (`tests/recall.rs` gates 4 shards at `ef_search = 8`
+//! against the single graph's 128 on 10 000 rows), and a multi-core
+//! host runs the N beams concurrently. Exact-backed shards inherit the
 //! blocked/SIMD scan kernels through [`ExactIndex::query_batch`], so
 //! the fan-out keeps the tiled per-shard throughput.
 //!

@@ -35,9 +35,8 @@
 //!   safe to request.
 //!
 //! [`dot_i8`] (what the HNSW traversal uses, one row at a time) is
-//! `Arch`. The enum exists so the parity suites — and the
-//! scalar/blocked/SIMD rows of `benches/quant_scale.rs` — can pin every
-//! path against the scalar reference on whatever hardware CI runs.
+//! `Arch`. The enum exists so the parity suites can pin every path
+//! against the scalar reference on whatever hardware CI runs.
 //!
 //! The exact scan does not go row by row: [`dot_i8_tile`] scores a
 //! whole tile of candidate rows against a block of queries per call —
@@ -67,7 +66,7 @@ pub use tile::dot_i8_tile;
 
 /// Which i8 dot-product implementation to run. All variants return
 /// identical results (the arithmetic is exact); the enum exists for
-/// parity tests and the scalar/blocked/SIMD bench rows.
+/// parity tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum I8Kernel {
     /// Per-element reference implementation.
@@ -81,7 +80,7 @@ pub enum I8Kernel {
 }
 
 impl I8Kernel {
-    /// Short stable name for bench/report rows.
+    /// Short stable name, for test failure messages.
     pub fn name(self) -> &'static str {
         match self {
             I8Kernel::Scalar => "scalar",
@@ -92,8 +91,8 @@ impl I8Kernel {
 }
 
 /// The name of the SIMD path [`I8Kernel::Arch`] resolves to on this
-/// target (what the bench table and ROADMAP record).
-pub fn arch_kernel_name() -> &'static str {
+/// target.
+fn arch_kernel_name() -> &'static str {
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx2") {

@@ -322,7 +322,7 @@ impl QuantizedMatrix {
     }
 
     /// Bytes the candidate storage occupies (codes plus per-row
-    /// scales) — the figure the quantization benches compare.
+    /// scales).
     pub fn candidate_bytes(&self) -> usize {
         let elems = self.rows() * self.cols();
         match self {
@@ -496,7 +496,7 @@ impl QuantizedMatrix {
 
     /// [`QuantizedMatrix::dot_row_prepared`] through an explicit i8
     /// kernel (all kernels return identical scores; the knob exists
-    /// for the parity suites and the scalar/SIMD bench rows).
+    /// for the parity suites).
     #[inline]
     pub fn dot_row_prepared_with(&self, kernel: I8Kernel, r: usize, pq: &PreparedQuery<'_>) -> f32 {
         debug_assert_eq!(pq.query.len(), self.cols(), "prepared for another width");

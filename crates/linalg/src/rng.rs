@@ -24,7 +24,7 @@ pub fn rand_uniform<R: Rng + ?Sized>(rng: &mut R, rows: usize, cols: usize, limi
 /// `n` rows scattered `N(0, noise_std²)` around the given cluster
 /// `centers` (row `r` uses centre `r % centers.rows()`).
 ///
-/// The shared synthetic-workload recipe for vector-index benches and
+/// The shared synthetic-workload recipe for vector-index tests and
 /// examples: deduplicated production command lines embed as many
 /// variants of comparatively few templates, and drawing queries around
 /// the *same* centres keeps them distributed like the indexed data.

@@ -176,8 +176,9 @@ impl Encoder {
     /// inserted. The projection/FFN matmuls run on the register-tiled
     /// GEMM micro-kernels in `linalg::kernels`, which keep each
     /// output's k-accumulation order — that is what preserves the
-    /// bit-identity guarantee above (`benches/forward.rs` measures the
-    /// batched forward on them).
+    /// bit-identity guarantee above (the load benchmark reads the
+    /// batched forward as `nn.forward_us_per_line_b32`, line by line as
+    /// `_b1`).
     pub fn forward_batch(&self, seqs: &[Vec<u32>]) -> Vec<Matrix> {
         let mut out: Vec<Option<Matrix>> = (0..seqs.len()).map(|_| None).collect();
         self.forward_batch_visit(seqs, &mut out, 1, |slot, stacked, row0, len| {

@@ -1,11 +1,12 @@
 //! The exact-match verdict cache for Zipf-heavy traffic.
 //!
-//! `benches/serve_throughput.rs` models the decisive property of real
-//! log ingestion: arrivals follow a Zipf law, so a small hot head of
-//! *identical* command lines dominates the stream. Scoring is a pure
-//! function of (raw line, fitted detector state) — so once a line's
-//! verdict is known, re-scoring it buys nothing until the detector
-//! state changes. This cache keeps the hot head's verdicts resident:
+//! The decisive property of real log ingestion (what the load
+//! benchmark's `wire_zipf_hot` workload models): arrivals follow a Zipf
+//! law, so a small hot head of *identical* command lines dominates the
+//! stream. Scoring is a pure function of (raw line, fitted detector
+//! state) — so once a line's verdict is known, re-scoring it buys
+//! nothing until the detector state changes. This cache keeps the hot
+//! head's verdicts resident:
 //!
 //! * **Exact-match only.** The key is the raw line itself (the map
 //!   hashes it, but equality is on the full string): two lines that

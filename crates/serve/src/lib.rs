@@ -56,7 +56,8 @@
 //!   style), with thread-per-connection readers feeding the existing
 //!   micro-batching workers and connection-level pipelining so many
 //!   in-flight requests share one socket. Loopback throughput and the
-//!   cache win are measured by `benches/net_throughput.rs`.
+//!   cache win are the load benchmark's `wire_cold` and
+//!   `wire_zipf_hot` workloads.
 //! * **Online detector lifecycle** ([`LifecycleConfig`], epoch-swapped
 //!   refit) — the paper's unsupervised detectors assume periodically
 //!   re-fitted baselines. A lifecycle-enabled service logs every
@@ -66,9 +67,9 @@
 //!   refittable detectors off baseline ∪ append-log, swapping the new
 //!   epoch in under one brief write lock while in-flight micro-batches
 //!   finish on the old one. Refit-under-load is bit-identical to a
-//!   stop-the-world refit on exact backends (`tests/lifecycle.rs`,
-//!   `benches/lifecycle.rs`), and the same state-epoch counter that
-//!   invalidates the verdict cache on appends is bumped on every swap.
+//!   stop-the-world refit on exact backends (`tests/lifecycle.rs`),
+//!   and the same state-epoch counter that invalidates the verdict
+//!   cache on appends is bumped on every swap.
 //!   A pooled service can also be reshaped live:
 //!   [`ShardRouter::reshard`] splits the shard set without stopping
 //!   the service.
@@ -83,7 +84,8 @@
 //!   requests under a versioned frame header, and the verdict cache
 //!   keys tenant entries separately with per-tenant epochs, so two
 //!   tenants submitting identical lines can never cross-serve
-//!   (`tests/tenants.rs`, `benches/tenant_scale.rs`).
+//!   (`tests/tenants.rs`; at 2 000 tenants, the load benchmark's
+//!   `tenant_churn` workload).
 
 mod cache;
 mod front;

@@ -65,8 +65,7 @@ pub struct NetConfig {
     /// answered with a typed `Busy` error frame and closed.
     pub max_connections: usize,
     /// Verdict-cache capacity in lines; `None` disables the cache
-    /// (every request reaches the scoring workers — the baseline the
-    /// `net_throughput` bench measures against).
+    /// (every request reaches the scoring workers).
     pub cache: Option<usize>,
 }
 
@@ -211,7 +210,7 @@ pub struct NetServer {
 impl NetServer {
     /// Binds `config.host:config.port` and starts serving `front`.
     /// When `config.cache` is set and the front has no cache yet, one
-    /// is attached here — the single switch the bench flips.
+    /// is attached here.
     pub fn spawn(front: Frontend, config: NetConfig) -> Result<NetServer, NetError> {
         config.validate().map_err(NetError::Serve)?;
         let listener = TcpListener::bind((config.host, config.port))?;
@@ -294,8 +293,8 @@ impl NetServer {
 
     /// Stops accepting, drains every connection (in-flight requests
     /// are answered or aborted with typed errors), joins the threads,
-    /// and hands the still-running [`Frontend`] back — the bench
-    /// reuses one fitted detector set across server configurations.
+    /// and hands the still-running [`Frontend`] back, so one fitted
+    /// detector set can serve under successive server configurations.
     pub fn shutdown(mut self) -> Frontend {
         self.stop_in_place();
         let front = self.front.take().expect("front present until shutdown");

@@ -24,8 +24,7 @@ pub struct ServeConfig {
     pub max_batch: usize,
     /// How long a worker waits for more arrivals before scoring a
     /// partial batch. `Duration::ZERO` disables coalescing (every
-    /// request scores alone — the single-line baseline the
-    /// `serve_throughput` bench compares against).
+    /// request scores alone).
     pub batch_window: Duration,
     /// Scoring worker threads draining the queue.
     pub workers: usize,

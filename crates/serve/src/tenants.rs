@@ -37,9 +37,9 @@
 //! Bit-identity discipline: a tenant's verdicts — across any
 //! interleaving of promotions, demotions, and evictions — are
 //! bit-identical to a dedicated single-tenant engine fed the same
-//! views (`tests/tenants.rs` pins this by proptest, and the
-//! `tenant_scale` bench gates it at 10k tenants), because demotion
-//! either keeps lossless state (i8 codes round-trip exactly;
+//! views (`tests/tenants.rs` pins this by proptest, and the load
+//! benchmark's `tenant_churn` verify pass at 2 000 tenants), because
+//! demotion either keeps lossless state (i8 codes round-trip exactly;
 //! dequantize → requantize reproduces codes and scales) or the full
 //! frame, and promotion replays the deterministic construction.
 
@@ -274,8 +274,7 @@ pub struct TenantService {
 
 impl TenantService {
     /// A tenant map serving pre-embedded views only (the `_view` API
-    /// family) — what the scale bench uses to model 10k tenants
-    /// without paying 10k encoder passes.
+    /// family): many tenants without an encoder pass per tenant.
     pub fn new(config: TenantConfig) -> Result<Self, TenantError> {
         Self::build(None, config)
     }

@@ -61,7 +61,7 @@ fn zero_knobs_are_rejected_with_typed_errors() {
     // One shard is legal: every detector resident, no pool.
     assert!(RouterConfig { shards: 1, ..ok }.validate().is_ok());
     // A zero batch *window* stays legal: it is the documented
-    // score-every-request-alone mode (the serve_throughput baseline).
+    // score-every-request-alone mode.
     assert!(serve(ServeConfig {
         batch_window: Duration::ZERO,
         ..ok.serve
